@@ -44,9 +44,12 @@ func (c *Context) cipherBuf(n int) ([]byte, func()) {
 // overwritten with the result. Encrypt/decrypt/reduce run through the
 // shared multicore cipher engine; small messages take its serial path.
 func (c *Context) allreduce(comm *mpi.Comm, s core.Scheme, plain []byte, n int) error {
-	if comm != nil && (comm.Rank() != c.rank || comm.Size() != c.size) {
-		return fmt.Errorf("hear: context for rank %d/%d used with communicator rank %d/%d",
-			c.rank, c.size, comm.Rank(), comm.Size())
+	// A nil communicator is fine only when an INC tree carries the
+	// reduction; refuse it here, before the key epoch advances.
+	if comm != nil || c.opts.INC == nil {
+		if err := c.checkComm(comm); err != nil {
+			return err
+		}
 	}
 	if n <= 0 {
 		return fmt.Errorf("hear: non-positive element count %d", n)

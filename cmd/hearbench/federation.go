@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -129,15 +127,7 @@ func federationExp() error {
 		fmt.Printf("%-22s %8.1fms wall, %8.1f rounds/s\n", r.Topology, r.WallMS, r.RoundsPerSec)
 	}
 
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_federation.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_federation.json")
-	return nil
+	return writeReport("BENCH_federation.json", report)
 }
 
 // runFederationCampaign drives clients through roundsN verified SUM rounds

@@ -11,8 +11,6 @@
 //	hearbench map        §5.3.1 MAP adversary success probabilities
 //	hearbench prefetch   noise prefetch overlap speedup (BENCH_prefetch.json)
 //	hearbench federation gateway-federation fan-in scaling (BENCH_federation.json)
-//	hearbench wirepath   zero-copy fan-out bytes/sec/core vs legacy codec (BENCH_wirepath.json)
-//	hearbench roofline   fused vs two-pass kernel ns/elem across working sets (BENCH_roofline.json)
 //	hearbench inc        INC's latency/bandwidth advantages (intro claims)
 //	hearbench ablation   design-choice ablations (canceling, PRF backend, op cost)
 //	hearbench validate   §6 correctness validation (float error, int memcmp)
@@ -23,6 +21,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,8 +52,6 @@ func main() {
 		"map":        mapAttack,
 		"prefetch":   prefetchExp,
 		"federation": federationExp,
-		"wirepath":   wirepathExp,
-		"roofline":   rooflineExp,
 		"inc":        incExp,
 		"ablation":   ablation,
 		"validate":   validate,
@@ -95,4 +92,27 @@ func iters(full int) int {
 		return n
 	}
 	return full
+}
+
+// writeReport records a full run's report in path. A -quick run prints it
+// instead, as one line of JSON, so smoke numbers never replace the
+// committed record of a full run.
+func writeReport(path string, report any) error {
+	if *quick {
+		blob, err := json.Marshal(report)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("-quick: %s not written; the report is the next line\n%s\n", path, blob)
+		return nil
+	}
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote", path)
+	return nil
 }

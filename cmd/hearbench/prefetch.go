@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"hear"
@@ -164,13 +162,5 @@ func prefetchExp() error {
 		fmt.Printf("%-14s %14.0f %14.0f %9.1f%% %9.1f%% %8.1f%%\n",
 			backend, row.OffNsPerCall, row.OnNsPerCall, 100*cold, 100*warm, row.SpeedupPercent)
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_prefetch.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_prefetch.json")
-	return nil
+	return writeReport("BENCH_prefetch.json", report)
 }

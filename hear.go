@@ -46,7 +46,8 @@ import (
 // Options configures a HEAR communicator.
 type Options struct {
 	// PRFBackend selects the noise PRF (default prf.BackendAESFast, the
-	// hardware-AES counter mode libhear settled on).
+	// hardware-AES counter mode libhear settled on). The insecure
+	// prf.BackendXorshift is rejected.
 	PRFBackend string
 	// Gamma is the float ciphertext inflation parameter γ (§5.3.1):
 	// 0 keeps ciphertexts plaintext-sized, 2 restores full mantissa

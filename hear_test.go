@@ -451,6 +451,29 @@ func TestInitErrors(t *testing.T) {
 	}
 }
 
+// Without an INC tree the reduction needs a communicator: a nil one must be
+// refused with an error, not a nil dereference inside mpi, and before the
+// key epoch advances — on the plain and the verified path alike.
+func TestNilCommunicatorIsAnError(t *testing.T) {
+	_, ctxs := initWorld(t, 1, Options{})
+	ctx := ctxs[0]
+	verifier, err := NewVerifier(12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := []int64{1, 2, 3}
+	epoch := ctx.st.Epoch()
+	if err := ctx.AllreduceInt64Sum(nil, v, v); err == nil {
+		t.Error("AllreduceInt64Sum accepted a nil communicator")
+	}
+	if err := ctx.AllreduceInt64SumVerified(nil, verifier, v, v); err == nil {
+		t.Error("AllreduceInt64SumVerified accepted a nil communicator")
+	}
+	if got := ctx.st.Epoch(); got != epoch {
+		t.Errorf("refused calls advanced the key epoch %d -> %d", epoch, got)
+	}
+}
+
 // Ciphertext on the wire is uniform even for constant plaintext — the
 // end-to-end confidentiality property, measured at the public API level.
 func TestWireUniformityEndToEnd(t *testing.T) {

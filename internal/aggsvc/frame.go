@@ -269,28 +269,6 @@ func (b *wireBuf) writeFrame(w io.Writer, t FrameType, payload ...[]byte) error 
 	return err
 }
 
-// writeFrameSequential is the pre-vectored emission path — one Write for
-// the header, one per payload slice — kept as the before/after baseline the
-// wirepath benchmark and the bit-identity tests compare against.
-func writeFrameSequential(w io.Writer, t FrameType, payload ...[]byte) error {
-	total := 0
-	for _, p := range payload {
-		total += len(p)
-	}
-	var hdr [frameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(total+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range payload {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readFrameHeader reads the fixed header and returns the frame type and
 // payload length, validating it against max before any payload byte is
 // consumed — oversized frames are rejected without buffering them.
@@ -313,20 +291,6 @@ func readFrameHeader(r io.Reader, max int) (FrameType, int, error) {
 		return t, ln - 1, &ErrFrameTooLarge{Declared: ln + 4, Limit: max}
 	}
 	return t, ln - 1, nil
-}
-
-// readFrame reads a whole frame into a fresh buffer (client-side path; the
-// server reads SUBMIT payloads into pooled blocks instead).
-func readFrame(r io.Reader, max int) (FrameType, []byte, error) {
-	t, n, err := readFrameHeader(r, max)
-	if err != nil {
-		return t, nil, err
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return t, nil, err
-	}
-	return t, p, nil
 }
 
 // helloFrame is the decoded HELLO payload. Epoch is the client's current
@@ -539,27 +503,11 @@ func decodeSubmitHeader(p []byte) (submitHeader, error) {
 	}, nil
 }
 
-// encodeResult frames the reduced lanes into one contiguous payload:
-// round, then each lane with a u32 length prefix (the tag lane is empty
-// for unverified rounds). The server's fan-out no longer uses it — RESULT
-// goes out as a vectored write of the shared accumulators (resultVectors)
-// with no per-participant copy — but the staging form remains the
-// baseline the bit-identity tests and the wirepath benchmark compare
-// against.
-func encodeResult(round uint64, data, tags []byte) []byte {
-	p := make([]byte, 8+4+len(data)+4+len(tags))
-	binary.LittleEndian.PutUint64(p[0:], round)
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(data)))
-	copy(p[12:], data)
-	binary.LittleEndian.PutUint32(p[12+len(data):], uint32(len(tags)))
-	if len(tags) > 0 {
-		// Untagged rounds encode the zero length directly; there is no
-		// empty-lane copy to issue.
-		copy(p[16+len(data):], tags)
-	}
-	return p
-}
-
+// decodeResult parses a RESULT payload: the round id, then each reduced
+// lane behind a u32 length prefix (the tag lane is empty for unverified
+// rounds). The returned lanes alias p. The server emits the same layout as
+// a vectored write of the shared accumulators (resultVectors), never as one
+// staged buffer.
 func decodeResult(p []byte) (round uint64, data, tags []byte, err error) {
 	if len(p) < 16 {
 		return 0, nil, nil, fmt.Errorf("aggsvc: RESULT payload %d B too short", len(p))

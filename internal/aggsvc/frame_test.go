@@ -2,11 +2,41 @@ package aggsvc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
 )
+
+// encodeResult is the staged form of a RESULT payload — round, then each
+// lane copied in behind a u32 length prefix — written independently of the
+// server's vectored emit (resultVectors + writeFrame), so the codec tests
+// and TestResultFanOutBitIdentical have an oracle for the wire layout.
+func encodeResult(round uint64, data, tags []byte) []byte {
+	p := make([]byte, 8+4+len(data)+4+len(tags))
+	binary.LittleEndian.PutUint64(p[0:], round)
+	binary.LittleEndian.PutUint32(p[8:], uint32(len(data)))
+	copy(p[12:], data)
+	binary.LittleEndian.PutUint32(p[12+len(data):], uint32(len(tags)))
+	copy(p[16+len(data):], tags)
+	return p
+}
+
+// readFrame reads a whole frame into a fresh buffer, for tests that speak
+// the protocol by hand.
+func readFrame(r io.Reader, max int) (FrameType, []byte, error) {
+	t, n, err := readFrameHeader(r, max)
+	if err != nil {
+		return t, nil, err
+	}
+	p := make([]byte, n)
+	if _, err := io.ReadFull(r, p); err != nil {
+		return t, nil, err
+	}
+	return t, p, nil
+}
 
 // Every payload codec must round-trip exactly and reject truncated
 // buffers with an error, never a panic: the decoders run on bytes an

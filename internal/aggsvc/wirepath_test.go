@@ -62,7 +62,7 @@ func encodeSubmitStream(round uint64, lane []byte, chunk int) []byte {
 			end = len(lane)
 		}
 		hdr := encodeSubmitHeader(submitHeader{Round: round, Lane: LaneData, Offset: off})
-		if err := writeFrameSequential(&buf, FrameSubmit, hdr, lane[off:end]); err != nil {
+		if err := writeFrame(&buf, FrameSubmit, hdr, lane[off:end]); err != nil {
 			panic(err)
 		}
 	}
@@ -163,13 +163,13 @@ func newResultRound(id uint64, laneBytes int, tagged bool) *roundState {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation gates (the CI wirepath-bench job runs these).
+// Allocation gates.
 
 // TestWirePathAllocFree pins the tentpole: the server's SUBMIT-fold ingress
 // and RESULT fan-out egress allocate nothing at steady state.
 func TestWirePathAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops items by design; zero-alloc contract asserted race-free (CI wirepath-bench)")
+		t.Skip("race-mode sync.Pool drops items by design; zero-alloc contract asserted race-free (plain go test)")
 	}
 	h, err := newIngestHarness(2048, 4096)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestWirePathAllocFree(t *testing.T) {
 // hot loop touches: staged into pooled scratch, they must not allocate.
 func TestFrameCodecAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops items by design; zero-alloc contract asserted race-free (CI wirepath-bench)")
+		t.Skip("race-mode sync.Pool drops items by design; zero-alloc contract asserted race-free (plain go test)")
 	}
 	var scratch [joinPayloadBytes]byte
 	h := helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Flags: FlagTagged, Elems: 8192, Epoch: 9}
@@ -298,40 +298,28 @@ func TestResultVectorsOneEncode(t *testing.T) {
 	}
 }
 
-// TestResultFanOutBitIdentical proves the vectored fan-out emits wire bytes
-// identical to the legacy per-participant encode+copy path, tagged and
-// untagged, including through the server's own finishRound vectors.
+// TestResultFanOutBitIdentical proves the server's vectored RESULT — its
+// own resultVectors through writeFrame, once per participant — puts exactly
+// the staged encoding on the wire: header, then encodeResult's one
+// contiguous payload, tagged and untagged.
 func TestResultFanOutBitIdentical(t *testing.T) {
 	for _, tagged := range []bool{false, true} {
 		r := newResultRound(99, 8192, tagged)
-		legacy := make([]*bytes.Buffer, 3)
-		vectored := make([]*bytes.Buffer, 3)
-		lw := make([]io.Writer, 3)
-		vw := make([]io.Writer, 3)
-		for i := range legacy {
-			legacy[i], vectored[i] = &bytes.Buffer{}, &bytes.Buffer{}
-			lw[i], vw[i] = legacy[i], vectored[i]
-		}
 		data, tags := r.resultLanes()
-		if err := FanOutResultLegacy(lw, r.id, data, tags); err != nil {
-			t.Fatal(err)
-		}
-		if err := FanOutResultVectored(vw, r.id, data, tags); err != nil {
-			t.Fatal(err)
-		}
-		for i := range legacy {
-			if !bytes.Equal(legacy[i].Bytes(), vectored[i].Bytes()) {
-				t.Fatalf("tagged=%v conn %d: vectored fan-out diverges from legacy wire bytes", tagged, i)
+		payload := encodeResult(r.id, data, tags)
+		want := make([]byte, frameHeaderBytes, frameHeaderBytes+len(payload))
+		binary.LittleEndian.PutUint32(want[:4], uint32(len(payload)+1))
+		want[4] = byte(FrameResult)
+		want = append(want, payload...)
+		for conn := 0; conn < 3; conn++ {
+			var got bytes.Buffer
+			pre, d, tagN, tg, st := r.resultVectors()
+			if err := writeFrame(&got, FrameResult, pre, d, tagN, tg, st); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The server's own vectors concatenate to the same frame.
-		var srv bytes.Buffer
-		pre, d, tagN, tg, st := r.resultVectors()
-		if err := writeFrame(&srv, FrameResult, pre, d, tagN, tg, st); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(srv.Bytes(), legacy[0].Bytes()) {
-			t.Fatalf("tagged=%v: finishRound vectors diverge from legacy wire bytes", tagged)
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("tagged=%v conn %d: vectored RESULT diverges from the staged encoding", tagged, conn)
+			}
 		}
 	}
 }
@@ -472,7 +460,8 @@ func TestClientReadBufReuse(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// BenchmarkWirePath: the numbers behind BENCH_wirepath.json's in-repo gate.
+// BenchmarkWirePath: throughput and allocs/op of the gateway's three hot
+// loops (CI runs it as a smoke).
 
 func BenchmarkWirePath(b *testing.B) {
 	const elems, chunk = 8192, 16 << 10 // 64 KiB lane in 4 chunks
@@ -496,44 +485,29 @@ func BenchmarkWirePath(b *testing.B) {
 			}
 		}
 	})
-	for _, bc := range []struct {
-		name string
-		fan  func(conns []net.Conn, s *Server, r *roundState, w []io.Writer) error
-	}{
-		{"result-fanout", func(conns []net.Conn, s *Server, r *roundState, _ []io.Writer) error {
-			return fanOutOnce(s, r, conns)
-		}},
-		{"result-fanout-legacy", func(_ []net.Conn, _ *Server, r *roundState, w []io.Writer) error {
-			data, tags := r.resultLanes()
-			return FanOutResultLegacy(w, r.id, data, tags)
-		}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s, err := NewServer(Config{Group: 2})
-			if err != nil {
+	b.Run("result-fanout", func(b *testing.B) {
+		s, err := NewServer(Config{Group: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		r := newResultRound(5, 64<<10, false)
+		conns := make([]net.Conn, 64)
+		for i := range conns {
+			conns[i] = &discardConn{}
+		}
+		if err := fanOutOnce(s, r, conns); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(conns) * (frameHeaderBytes + 16 + len(r.data))))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fanOutOnce(s, r, conns); err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			r := newResultRound(5, 64<<10, false)
-			conns := make([]net.Conn, 64)
-			writers := make([]io.Writer, 64)
-			for i := range conns {
-				c := &discardConn{}
-				conns[i], writers[i] = c, c
-			}
-			if err := bc.fan(conns, s, r, writers); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(conns) * (frameHeaderBytes + 16 + len(r.data))))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bc.fan(conns, s, r, writers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 	b.Run("client-read", func(b *testing.B) {
 		var frame bytes.Buffer
 		payload := make([]byte, 64<<10)
@@ -541,15 +515,13 @@ func BenchmarkWirePath(b *testing.B) {
 			b.Fatal(err)
 		}
 		conn := &replayConn{stream: frame.Bytes()}
-		buf := []byte(nil)
+		c := NewClient(conn, nil, ClientOptions{})
 		b.SetBytes(int64(frame.Len()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			conn.Rewind()
-			var err error
-			_, buf, _, err = ReadFrameInto(conn, buf, DefaultMaxFrameBytes)
-			if err != nil {
+			if _, _, err := c.readFrameReuse(); err != nil {
 				b.Fatal(err)
 			}
 		}

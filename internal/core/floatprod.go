@@ -56,9 +56,6 @@ func (s *FloatProd) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off i
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	cs := s.CipherSize()
 	last := st.IsLast()
 	byteOff := uint64(off) * hfp.NoiseBytes
@@ -93,35 +90,6 @@ func (s *FloatProd) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off i
 	return nil
 }
 
-// encryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *FloatProd) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	cs := s.CipherSize()
-	last := st.IsLast()
-	byteOff := uint64(off) * hfp.NoiseBytes
-	p1, ks1 := getScratch(n * hfp.NoiseBytes)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.SelfNonce(), byteOff)
-	var ks2 []byte
-	if !last {
-		p2, b := getScratch(n * hfp.NoiseBytes)
-		defer putScratch(p2)
-		ks2 = b
-		st.Enc.Keystream(ks2, st.NextNonce(), byteOff)
-	}
-	for j := 0; j < n; j++ {
-		v, err := s.f.Encode(s.wire.load(plain, j))
-		if err != nil {
-			return fmt.Errorf("%s: element %d: %w", s.Name(), j, err)
-		}
-		noise := s.cell.Noise(ks1[j*hfp.NoiseBytes:])
-		if !last {
-			noise = s.f.Div(noise, s.cell.Noise(ks2[j*hfp.NoiseBytes:]))
-		}
-		s.cell.Pack(s.f.Mul(v, noise), cipher[j*cs:])
-	}
-	return nil
-}
-
 func (s *FloatProd) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -129,9 +97,6 @@ func (s *FloatProd) Decrypt(st *keys.RankState, cipher, plain []byte, n int) err
 func (s *FloatProd) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
-	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
 	}
 	cs := s.CipherSize()
 	nb := n * hfp.NoiseBytes
@@ -146,20 +111,6 @@ func (s *FloatProd) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off i
 			noise := s.cell.Noise(b1[o:])
 			s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 		}
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *FloatProd) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	cs := s.CipherSize()
-	p1, ks1 := getScratch(n * hfp.NoiseBytes)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.RootNonce(), uint64(off)*hfp.NoiseBytes)
-	for j := 0; j < n; j++ {
-		c := s.cell.Unpack(cipher[j*cs:])
-		noise := s.cell.Noise(ks1[j*hfp.NoiseBytes:])
-		s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 	}
 	return nil
 }

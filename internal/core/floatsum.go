@@ -83,9 +83,6 @@ func (s *FloatSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off in
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	cs := s.CipherSize()
 	nb := n * hfp.NoiseBytes // noise bytes, the stream the loop is blocked on
 	ns := openNoise(st.Enc, st.CollectiveNonce(), uint64(off)*hfp.NoiseBytes, nb)
@@ -106,23 +103,6 @@ func (s *FloatSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off in
 	return nil
 }
 
-// encryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *FloatSum) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	cs := s.CipherSize()
-	p1, ks := getScratch(n * hfp.NoiseBytes)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks, st.CollectiveNonce(), uint64(off)*hfp.NoiseBytes)
-	for j := 0; j < n; j++ {
-		v, err := s.f.Encode(s.wire.load(plain, j))
-		if err != nil {
-			return fmt.Errorf("%s: element %d: %w", s.Name(), j, err)
-		}
-		noise := s.cell.Noise(ks[j*hfp.NoiseBytes:])
-		s.cell.Pack(s.f.Mul(v, noise), cipher[j*cs:])
-	}
-	return nil
-}
-
 func (s *FloatSum) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -130,9 +110,6 @@ func (s *FloatSum) Decrypt(st *keys.RankState, cipher, plain []byte, n int) erro
 func (s *FloatSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
-	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
 	}
 	cs := s.CipherSize()
 	nb := n * hfp.NoiseBytes
@@ -147,20 +124,6 @@ func (s *FloatSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off in
 			noise := s.cell.Noise(b[o:])
 			s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 		}
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *FloatSum) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	cs := s.CipherSize()
-	p1, ks := getScratch(n * hfp.NoiseBytes)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks, st.CollectiveNonce(), uint64(off)*hfp.NoiseBytes)
-	for j := 0; j < n; j++ {
-		c := s.cell.Unpack(cipher[j*cs:])
-		noise := s.cell.Noise(ks[j*hfp.NoiseBytes:])
-		s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 	}
 	return nil
 }

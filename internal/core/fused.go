@@ -2,42 +2,26 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hear/internal/prf"
 )
 
-// This file carries the shared machinery of the fused kernels: scheme
-// encrypt/decrypt loops that consume PRF keystream 64 bytes at a time
-// (prf.BlockSource) and combine each block with the data in place, instead
-// of materializing a full keystream plane into pooled scratch and making a
-// second combining pass. The fused loop touches each plaintext and
-// ciphertext byte exactly once and keeps the keystream in an L1-resident
-// staging buffer, so for working sets larger than cache the memory traffic
-// drops from ~4 streams (plain, cipher, keystream write, keystream read)
-// to 2 — the fusion argument of HEAAN Demystified applied to HEAR's
-// CTR-keystream cipher. The two-pass kernels remain as the reference
-// implementation (…TwoPassAt methods) and the bit-identity tests assert
-// the fused path produces exactly the same bytes.
+// This file carries the shared machinery of the scheme kernels. Every
+// encrypt/decrypt loop consumes PRF keystream 64 bytes at a time
+// (prf.BlockSource) and combines each block with the data in one fused
+// pass: each plaintext and ciphertext byte is touched exactly once and the
+// keystream stays in an L1-resident staging buffer, so a working set larger
+// than cache streams 2 buffers through DRAM rather than the 4 (plain,
+// cipher, keystream write, keystream read) a materialized keystream plane
+// costs — the fusion argument of HEAAN Demystified applied to HEAR's
+// CTR-keystream cipher. The plane-materializing form of every kernel is the
+// test oracle (twopass_test.go); TestFusedMatchesTwoPass holds each scheme
+// to it byte for byte.
 //
-// Buffer aliasing: like the two-pass kernels, the fused loops read
-// plain[done+o] and write cipher[done+o] strictly in order and never
-// revisit a byte, so in-place operation (cipher aliasing plain) is safe —
-// each element is loaded before its ciphertext is stored.
-
-// fusionOff gates the fused kernels; the zero value means fusion is ON.
-// It exists so benchmarks (hearbench roofline) and bisection can A/B the
-// fused path against the two-pass reference at runtime.
-var fusionOff atomic.Bool
-
-// SetFusion enables (true) or disables (false) the fused single-pass
-// kernels process-wide and reports the previous setting. Fusion is enabled
-// by default; disabling routes every scheme through the two-pass reference
-// path. Both paths are bit-identical, so toggling is safe at any point.
-func SetFusion(on bool) bool { return !fusionOff.Swap(!on) }
-
-// FusionEnabled reports whether the fused kernels are active.
-func FusionEnabled() bool { return !fusionOff.Load() }
+// Buffer aliasing: the loops read plain[done+o] and write cipher[done+o]
+// strictly in order and never revisit a byte, so in-place operation (cipher
+// aliasing plain) is safe — each element is loaded before its ciphertext is
+// stored.
 
 // noiseStream adapts one PRF noise stream for a fused kernel, splitting
 // the requested span into (a) a prefix already materialized in the noise

@@ -19,22 +19,16 @@ func genStatesBackend(t testing.TB, p int, backend string) []*keys.RankState {
 	return states
 }
 
-// withFusion runs f with the fused kernels forced on or off, restoring the
-// previous setting.
-func withFusion(on bool, f func()) {
-	prev := SetFusion(on)
-	defer SetFusion(prev)
-	f()
-}
-
 // The fused single-pass kernels must be bit-identical to the two-pass
 // reference for every scheme, on every backend, at canceling and last
 // ranks, across offsets and sizes that exercise partial head/tail blocks
-// and staging-buffer refills.
+// and staging-buffer refills. Sizes 8 and 9 straddle the 64-byte span at
+// which the AES-fast block source switches from single-block calls to a CTR
+// stream.
 func TestFusedMatchesTwoPass(t *testing.T) {
 	backends := []string{prf.BackendAESFast, prf.BackendAESScalar, prf.BackendChaCha20, prf.BackendSHA1}
 	offs := []int{0, 1, 7, 129}
-	sizes := []int{1, 3, 100, 1000}
+	sizes := []int{1, 3, 8, 9, 100, 1000}
 	for _, backend := range backends {
 		states := genStatesBackend(t, 3, backend)
 		starting := make([]uint64, 3)
@@ -50,9 +44,8 @@ func TestFusedMatchesTwoPass(t *testing.T) {
 						plain := fillPlain(s, n)
 						fusedC := make([]byte, n*s.CipherSize())
 						refC := make([]byte, n*s.CipherSize())
-						var errF, errR error
-						withFusion(true, func() { errF = s.EncryptAt(st, plain, fusedC, n, off) })
-						withFusion(false, func() { errR = s.EncryptAt(st, plain, refC, n, off) })
+						errF := s.EncryptAt(st, plain, fusedC, n, off)
+						errR := encryptTwoPass(s, st, plain, refC, n, off)
 						if errF != nil || errR != nil {
 							t.Fatalf("%s/%s rank=%d off=%d n=%d: encrypt fused=%v ref=%v",
 								backend, s.Name(), rank, off, n, errF, errR)
@@ -63,8 +56,8 @@ func TestFusedMatchesTwoPass(t *testing.T) {
 						}
 						fusedP := make([]byte, n*s.PlainSize())
 						refP := make([]byte, n*s.PlainSize())
-						withFusion(true, func() { errF = s.DecryptAt(st, refC, fusedP, n, off) })
-						withFusion(false, func() { errR = s.DecryptAt(st, refC, refP, n, off) })
+						errF = s.DecryptAt(st, refC, fusedP, n, off)
+						errR = decryptTwoPass(s, st, refC, refP, n, off)
 						if errF != nil || errR != nil {
 							t.Fatalf("%s/%s rank=%d off=%d n=%d: decrypt fused=%v ref=%v",
 								backend, s.Name(), rank, off, n, errF, errR)
@@ -144,13 +137,8 @@ func TestFusedAllocs(t *testing.T) {
 	st.Advance()
 	plain := fillPlain(sum, n)
 	cipher := make([]byte, n*8)
-	var fused, ref float64
-	withFusion(true, func() {
-		fused = testing.AllocsPerRun(20, func() { sum.EncryptAt(st, plain, cipher, n, 0) })
-	})
-	withFusion(false, func() {
-		ref = testing.AllocsPerRun(20, func() { sum.EncryptAt(st, plain, cipher, n, 0) })
-	})
+	fused := testing.AllocsPerRun(20, func() { sum.EncryptAt(st, plain, cipher, n, 0) })
+	ref := testing.AllocsPerRun(20, func() { intSumEncryptTwoPass(sum, st, plain, cipher, n, 0) })
 	if fused > ref {
 		t.Errorf("int64-sum/aes-fast: fused encrypt allocates %.1f/run > two-pass %.1f/run", fused, ref)
 	}

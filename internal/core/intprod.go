@@ -74,9 +74,6 @@ func (s *IntProd) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off int
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	nb := n * s.width
 	byteOff := uint64(off) * uint64(s.width)
 	cancel := !st.IsLast()
@@ -106,31 +103,6 @@ func (s *IntProd) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off int
 	return nil
 }
 
-// encryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *IntProd) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	nb := n * s.width
-	byteOff := uint64(off) * uint64(s.width)
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.SelfNonce(), byteOff)
-	cancel := !st.IsLast()
-	var ks2 []byte
-	if cancel {
-		p2, b := getScratch(nb)
-		defer putScratch(p2)
-		ks2 = b
-		st.Enc.Keystream(ks2, st.NextNonce(), byteOff)
-	}
-	for j := 0; j < n; j++ {
-		noise := s.r.PowG(s.noiseExp(ks1, j))
-		if cancel {
-			noise = s.r.Mul(noise, s.r.InvPowG(s.noiseExp(ks2, j)))
-		}
-		s.store(cipher, j, s.r.Mul(s.load(plain, j), noise))
-	}
-	return nil
-}
-
 func (s *IntProd) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -138,9 +110,6 @@ func (s *IntProd) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error
 func (s *IntProd) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
-	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
 	}
 	nb := n * s.width
 	ns := openNoise(st.Enc, st.RootNonce(), uint64(off)*uint64(s.width), nb)
@@ -152,18 +121,6 @@ func (s *IntProd) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int
 			j := (done + o) / s.width
 			s.store(plain, j, s.r.Mul(s.load(cipher, j), s.r.InvPowG(s.noiseExp(b1[:], o/s.width))))
 		}
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *IntProd) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	nb := n * s.width
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.RootNonce(), uint64(off)*uint64(s.width))
-	for j := 0; j < n; j++ {
-		s.store(plain, j, s.r.Mul(s.load(cipher, j), s.r.InvPowG(s.noiseExp(ks1, j))))
 	}
 	return nil
 }

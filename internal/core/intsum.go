@@ -63,9 +63,6 @@ func (s *IntSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off int)
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	nb := n * s.width
 	byteOff := uint64(off) * uint64(s.width)
 	cancel := !st.IsLast()
@@ -114,54 +111,6 @@ func (s *IntSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off int)
 	return nil
 }
 
-// encryptTwoPassAt is the reference kernel: materialize the full keystream
-// plane(s) into pooled scratch, then combine in a second pass.
-func (s *IntSum) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	nb := n * s.width
-	byteOff := uint64(off) * uint64(s.width)
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.SelfNonce(), byteOff)
-	cancel := !st.IsLast()
-	var ks2 []byte
-	if cancel {
-		p2, b := getScratch(nb)
-		defer putScratch(p2)
-		ks2 = b
-		st.Enc.Keystream(ks2, st.NextNonce(), byteOff)
-	}
-	switch s.width {
-	case 4:
-		for j := 0; j < n; j++ {
-			o := j * 4
-			c := binary.LittleEndian.Uint32(plain[o:]) + binary.LittleEndian.Uint32(ks1[o:])
-			if cancel {
-				c -= binary.LittleEndian.Uint32(ks2[o:])
-			}
-			binary.LittleEndian.PutUint32(cipher[o:], c)
-		}
-	case 8:
-		for j := 0; j < n; j++ {
-			o := j * 8
-			c := binary.LittleEndian.Uint64(plain[o:]) + binary.LittleEndian.Uint64(ks1[o:])
-			if cancel {
-				c -= binary.LittleEndian.Uint64(ks2[o:])
-			}
-			binary.LittleEndian.PutUint64(cipher[o:], c)
-		}
-	default: // 1- and 2-byte datatypes via the generic word codec
-		w := intWire{size: s.width}
-		for j := 0; j < n; j++ {
-			c := w.load(plain, j) + w.load(ks1, j)
-			if cancel {
-				c -= w.load(ks2, j)
-			}
-			w.store(cipher, j, c)
-		}
-	}
-	return nil
-}
-
 func (s *IntSum) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -169,9 +118,6 @@ func (s *IntSum) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error 
 func (s *IntSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
-	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
 	}
 	nb := n * s.width
 	ns := openNoise(st.Enc, st.RootNonce(), uint64(off)*uint64(s.width), nb)
@@ -196,34 +142,6 @@ func (s *IntSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int)
 				j := (done + o) / s.width
 				w.store(plain, j, w.load(cipher, j)-w.load(b1[:], o/s.width))
 			}
-		}
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *IntSum) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	nb := n * s.width
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.RootNonce(), uint64(off)*uint64(s.width))
-	switch s.width {
-	case 4:
-		for j := 0; j < n; j++ {
-			o := j * 4
-			binary.LittleEndian.PutUint32(plain[o:],
-				binary.LittleEndian.Uint32(cipher[o:])-binary.LittleEndian.Uint32(ks1[o:]))
-		}
-	case 8:
-		for j := 0; j < n; j++ {
-			o := j * 8
-			binary.LittleEndian.PutUint64(plain[o:],
-				binary.LittleEndian.Uint64(cipher[o:])-binary.LittleEndian.Uint64(ks1[o:]))
-		}
-	default:
-		w := intWire{size: s.width}
-		for j := 0; j < n; j++ {
-			w.store(plain, j, w.load(cipher, j)-w.load(ks1, j))
 		}
 	}
 	return nil

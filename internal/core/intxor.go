@@ -47,9 +47,6 @@ func (s *IntXor) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off int)
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	nb := n * s.width
 	byteOff := uint64(off) * uint64(s.width)
 	cancel := !st.IsLast()
@@ -91,28 +88,6 @@ func xorBlock(dst, src []byte, ks *[prf.BlockBytes]byte) {
 	}
 }
 
-// encryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *IntXor) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	nb := n * s.width
-	byteOff := uint64(off) * uint64(s.width)
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.SelfNonce(), byteOff)
-	if st.IsLast() {
-		for i := 0; i < nb; i++ {
-			cipher[i] = plain[i] ^ ks1[i]
-		}
-		return nil
-	}
-	p2, ks2 := getScratch(nb)
-	defer putScratch(p2)
-	st.Enc.Keystream(ks2, st.NextNonce(), byteOff)
-	for i := 0; i < nb; i++ {
-		cipher[i] = plain[i] ^ ks1[i] ^ ks2[i]
-	}
-	return nil
-}
-
 func (s *IntXor) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -121,9 +96,6 @@ func (s *IntXor) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int)
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
-	}
 	nb := n * s.width
 	ns := openNoise(st.Enc, st.RootNonce(), uint64(off)*uint64(s.width), nb)
 	defer ns.close()
@@ -131,18 +103,6 @@ func (s *IntXor) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off int)
 		b1 := ns.next()
 		m := blockLen(nb, done)
 		xorBlock(plain[done:done+m], cipher[done:done+m], b1)
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *IntXor) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	nb := n * s.width
-	p1, ks1 := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks1, st.RootNonce(), uint64(off)*uint64(s.width))
-	for i := 0; i < nb; i++ {
-		plain[i] = cipher[i] ^ ks1[i]
 	}
 	return nil
 }

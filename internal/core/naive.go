@@ -56,9 +56,6 @@ func (s *NaiveIntSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.width, s.width); err != nil {
 		return err
 	}
-	if !FusionEnabled() {
-		return s.encryptTwoPassAt(st, plain, cipher, n, off)
-	}
 	nb := n * s.width
 	ns := openNoise(st.Enc, st.SelfNonce(), uint64(off)*uint64(s.width), nb)
 	defer ns.close()
@@ -80,28 +77,6 @@ func (s *NaiveIntSum) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off
 	return nil
 }
 
-// encryptTwoPassAt is the reference kernel (full plane, second pass).
-func (s *NaiveIntSum) encryptTwoPassAt(st *keys.RankState, plain, cipher []byte, n, off int) error {
-	nb := n * s.width
-	p1, ks := getScratch(nb)
-	defer putScratch(p1)
-	st.Enc.Keystream(ks, st.SelfNonce(), uint64(off)*uint64(s.width))
-	if s.width == 4 {
-		for j := 0; j < n; j++ {
-			o := j * 4
-			binary.LittleEndian.PutUint32(cipher[o:],
-				binary.LittleEndian.Uint32(plain[o:])+binary.LittleEndian.Uint32(ks[o:]))
-		}
-		return nil
-	}
-	for j := 0; j < n; j++ {
-		o := j * 8
-		binary.LittleEndian.PutUint64(cipher[o:],
-			binary.LittleEndian.Uint64(plain[o:])+binary.LittleEndian.Uint64(ks[o:]))
-	}
-	return nil
-}
-
 func (s *NaiveIntSum) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
 	return s.DecryptAt(st, cipher, plain, n, 0)
 }
@@ -112,9 +87,6 @@ func (s *NaiveIntSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off
 	}
 	if len(s.allStarting) != st.Size {
 		return fmt.Errorf("%s: scheme built for %d ranks, communicator has %d", s.Name(), len(s.allStarting), st.Size)
-	}
-	if !FusionEnabled() {
-		return s.decryptTwoPassAt(st, cipher, plain, n, off)
 	}
 	nb := n * s.width
 	copy(plain[:nb], cipher[:nb])
@@ -139,33 +111,6 @@ func (s *NaiveIntSum) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off
 					binary.LittleEndian.PutUint64(plain[done+o:],
 						binary.LittleEndian.Uint64(plain[done+o:])-binary.LittleEndian.Uint64(b[o:]))
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// decryptTwoPassAt is the reference kernel (full plane per rank, second
-// pass per rank).
-func (s *NaiveIntSum) decryptTwoPassAt(st *keys.RankState, cipher, plain []byte, n, off int) error {
-	nb := n * s.width
-	p1, ks := getScratch(nb)
-	defer putScratch(p1)
-	copy(plain[:nb], cipher[:nb])
-	// Θ(P): subtract every rank's noise stream.
-	for _, k := range s.allStarting {
-		st.Enc.Keystream(ks, k+st.Collective(), uint64(off)*uint64(s.width))
-		if s.width == 4 {
-			for j := 0; j < n; j++ {
-				o := j * 4
-				binary.LittleEndian.PutUint32(plain[o:],
-					binary.LittleEndian.Uint32(plain[o:])-binary.LittleEndian.Uint32(ks[o:]))
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				o := j * 8
-				binary.LittleEndian.PutUint64(plain[o:],
-					binary.LittleEndian.Uint64(plain[o:])-binary.LittleEndian.Uint64(ks[o:]))
 			}
 		}
 	}

@@ -409,10 +409,11 @@ func fusedStates(t *testing.T, size int, seed byte) (*keys.RankState, *keys.Rank
 	return a[0], b[0]
 }
 
-// TestFusedThroughPrefetcherBitIdentity drives a fused scheme through an
-// attached prefetcher and checks every byte against the two-pass reference
-// on a pure backend, across full-hit planes (post-advance), truncated
-// planes (prefix hit + generated tail), and unaligned element offsets.
+// TestFusedThroughPrefetcherBitIdentity drives a scheme through an attached
+// prefetcher and checks every byte against the same scheme on an
+// un-prefetched state (the path internal/core pins to its two-pass oracle),
+// across full-hit planes (post-advance), truncated planes (prefix hit +
+// generated tail), and unaligned element offsets.
 func TestFusedThroughPrefetcherBitIdentity(t *testing.T) {
 	scheme, err := core.NewIntSum(64)
 	if err != nil {
@@ -442,7 +443,6 @@ func TestFusedThroughPrefetcherBitIdentity(t *testing.T) {
 				ref.Advance()
 			}
 
-			defer core.SetFusion(core.SetFusion(true))
 			for _, off := range []int{0, 3, 129} {
 				n := elems - off
 				plain := make([]byte, n*8)
@@ -454,14 +454,11 @@ func TestFusedThroughPrefetcherBitIdentity(t *testing.T) {
 				if err := scheme.EncryptAt(st, plain, cipher, n, off); err != nil {
 					t.Fatal(err)
 				}
-				core.SetFusion(false)
-				err := scheme.EncryptAt(ref, plain, wantCipher, n, off)
-				core.SetFusion(true)
-				if err != nil {
+				if err := scheme.EncryptAt(ref, plain, wantCipher, n, off); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(cipher, wantCipher) {
-					t.Fatalf("off %d: fused-through-prefetcher ciphertext differs from two-pass reference", off)
+					t.Fatalf("off %d: ciphertext through the prefetcher differs from the un-prefetched reference", off)
 				}
 
 				got := make([]byte, n*8)
@@ -469,14 +466,11 @@ func TestFusedThroughPrefetcherBitIdentity(t *testing.T) {
 				if err := scheme.DecryptAt(st, cipher, got, n, off); err != nil {
 					t.Fatal(err)
 				}
-				core.SetFusion(false)
-				err = scheme.DecryptAt(ref, wantCipher, want, n, off)
-				core.SetFusion(true)
-				if err != nil {
+				if err := scheme.DecryptAt(ref, wantCipher, want, n, off); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("off %d: fused-through-prefetcher plaintext differs from two-pass reference", off)
+					t.Fatalf("off %d: plaintext through the prefetcher differs from the un-prefetched reference", off)
 				}
 			}
 			if s := p.Stats(); s.HitBytes == 0 {
@@ -501,7 +495,6 @@ func TestFusedPrefetcherAccountingExact(t *testing.T) {
 	p.Drain()
 	st.Advance()
 
-	defer core.SetFusion(core.SetFusion(true))
 	nb := elems * 8
 	buf := make([]byte, nb)
 	if err := scheme.EncryptAt(st, buf, buf, elems, 0); err != nil {

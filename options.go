@@ -1,6 +1,10 @@
 package hear
 
-import "fmt"
+import (
+	"fmt"
+
+	"hear/internal/prf"
+)
 
 // OptionError reports an Options field that fails validation at context
 // creation. Init and InitOverComm return it (wrapped) so callers can
@@ -20,7 +24,10 @@ func (e *OptionError) Error() string {
 // "serial" to the pool, a negative prefetch budget as "disabled", a
 // negative retry bound as "no retries", a negative timeout as "no
 // deadline" — all plausible-looking configs that mask a sign bug at the
-// call site. Zero stays the documented default for every field.
+// call site. Zero stays the documented default for every field. The
+// insecure xorshift PRF is refused outright: it exists for the Figure 5
+// lower bound, which hearbench builds through keys.Config, never for a
+// context a caller could mistake for an encrypted one.
 func (o *Options) validate() error {
 	if o.PipelineBlockBytes < 0 {
 		return &OptionError{Field: "PipelineBlockBytes", Value: o.PipelineBlockBytes}
@@ -36,6 +43,9 @@ func (o *Options) validate() error {
 	}
 	if o.RecvTimeout < 0 {
 		return &OptionError{Field: "RecvTimeout", Value: o.RecvTimeout}
+	}
+	if o.PRFBackend == prf.BackendXorshift {
+		return &OptionError{Field: "PRFBackend", Value: o.PRFBackend}
 	}
 	return nil
 }

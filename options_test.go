@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"hear/internal/mpi"
+	"hear/internal/prf"
 )
 
-// TestOptionsValidation pins that every sign-sensitive Options field is
-// rejected at context creation with a typed *OptionError naming the
-// field — not silently reinterpreted ("negative workers means serial")
-// deeper in the stack.
+// TestOptionsValidation pins that every sign-sensitive Options field, and
+// the insecure benchmark-only PRF backend, is rejected at context creation
+// with a typed *OptionError naming the field — not silently reinterpreted
+// ("negative workers means serial") deeper in the stack.
 func TestOptionsValidation(t *testing.T) {
 	cases := []struct {
 		field string
@@ -22,13 +23,14 @@ func TestOptionsValidation(t *testing.T) {
 		{"NoisePrefetch", Options{NoisePrefetch: -4096}},
 		{"VerifiedRetry", Options{VerifiedRetry: -2}},
 		{"RecvTimeout", Options{RecvTimeout: -time.Second}},
+		{"PRFBackend", Options{PRFBackend: prf.BackendXorshift}},
 	}
 	w := mpi.NewWorld(2)
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {
 			_, err := Init(w, tc.opts)
 			if err == nil {
-				t.Fatalf("Init accepted negative %s", tc.field)
+				t.Fatalf("Init accepted invalid %s", tc.field)
 			}
 			var oe *OptionError
 			if !errors.As(err, &oe) {

@@ -151,6 +151,13 @@ func (c *Context) verifiedAttempt(comm *mpi.Comm, verifier *homac.Vector, send, 
 		return err
 	}
 	n := len(send)
+	if path != vpINC {
+		// The host rungs reduce over comm; refuse a nil or foreign one
+		// before the key epoch advances.
+		if err := c.checkComm(comm); err != nil {
+			return err
+		}
+	}
 	c.st.Advance()
 
 	// Encrypt the data lane.
