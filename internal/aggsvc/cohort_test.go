@@ -103,11 +103,11 @@ func TestShardedRoundsFillIndependently(t *testing.T) {
 	m := roundManager{group: 2, timeout: time.Minute}
 	p := roundParams{scheme: SchemeInt64Sum, elems: 4}
 
-	r0a, _, created, aerr := m.join(nil, p, 1, 0, partMeta{rank: -1})
+	r0a, _, created, aerr := m.join(&discardConn{}, p, 1, 0, partMeta{rank: -1})
 	if aerr != nil || !created {
 		t.Fatalf("cohort 0 first join: %v created=%v", aerr, created)
 	}
-	r1a, _, created, aerr := m.join(nil, p, 5, 1, partMeta{rank: -1})
+	r1a, _, created, aerr := m.join(&discardConn{}, p, 5, 1, partMeta{rank: -1})
 	if aerr != nil || !created {
 		t.Fatalf("cohort 1 first join: %v created=%v", aerr, created)
 	}
@@ -115,7 +115,7 @@ func TestShardedRoundsFillIndependently(t *testing.T) {
 		t.Fatal("cohorts share a round")
 	}
 
-	r0b, _, created, aerr := m.join(nil, p, 2, 0, partMeta{rank: -1})
+	r0b, _, created, aerr := m.join(&discardConn{}, p, 2, 0, partMeta{rank: -1})
 	if aerr != nil || created || r0b != r0a {
 		t.Fatalf("cohort 0 second join: %v created=%v same=%v", aerr, created, r0b == r0a)
 	}
@@ -130,13 +130,13 @@ func TestShardedRoundsFillIndependently(t *testing.T) {
 	default:
 	}
 	// Flat manager: the epoch fixes at fill time as max(HELLO epochs)+1.
-	if got := r0a.sealEpoch(); got != 3 {
+	if got, _ := r0a.sealEpoch(); got != 3 {
 		t.Fatalf("cohort 0 seal epoch = %d, want 3", got)
 	}
 
 	// The filled round left the open table; the next cohort-0 join opens a
 	// fresh one.
-	r0c, _, created, aerr := m.join(nil, p, 1, 0, partMeta{rank: -1})
+	r0c, _, created, aerr := m.join(&discardConn{}, p, 1, 0, partMeta{rank: -1})
 	if aerr != nil || !created || r0c == r0a {
 		t.Fatalf("post-fill join: %v created=%v fresh=%v", aerr, created, r0c != r0a)
 	}

@@ -21,11 +21,17 @@ func helloConn(t *testing.T, l *PipeListener, elems int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sayHello(t, conn, elems)
+	return conn
+}
+
+// sayHello requests admission to an elems-element SUM round on conn.
+func sayHello(t *testing.T, conn net.Conn, elems int) {
+	t.Helper()
 	hello := helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Elems: elems}
 	if err := writeFrame(conn, FrameHello, encodeHello(hello)); err != nil {
 		t.Fatal(err)
 	}
-	return conn
 }
 
 // readJoin reads the admission ticket off a conn that said HELLO.

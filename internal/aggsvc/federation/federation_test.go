@@ -251,6 +251,104 @@ func TestFederationThreeTier(t *testing.T) {
 	}
 }
 
+// TestFederationJoinWakeRace is the two-tier half of aggsvc's
+// TestJoinWakeRace: at a leaf the seal epoch is fixed by the runCascade
+// goroutine when the upstream JOIN arrives, so that wake races four
+// handlers that are parked in (or still entering) their JOIN wait, and the
+// root's own fill wake races the leaf's two uplink connections. 500
+// back-to-back verified rounds over pipes and over loopback TCP must
+// complete on both tiers without one abort, eviction or relay failure: a
+// lost wake would hang a round into its deadline, a stale poke would kill a
+// healthy connection's next read.
+func TestFederationJoinWakeRace(t *testing.T) {
+	const clients, cohorts, elems, rounds = 4, 2, 16, 500
+	for _, tcp := range []bool{false, true} {
+		name := "pipe"
+		if tcp {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) {
+			// serve starts one tier and returns how to reach it.
+			serve := func(s *aggsvc.Server) func() (net.Conn, error) {
+				t.Cleanup(func() { s.Close() })
+				if !tcp {
+					l := aggsvc.NewPipeListener()
+					go s.Serve(l)
+					return l.Dial
+				}
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go s.Serve(l)
+				return func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
+			}
+			root, err := aggsvc.NewServer(aggsvc.Config{Group: cohorts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, err := federation.New(federation.Config{Dial: serve(root), Timeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf, err := aggsvc.NewServer(aggsvc.Config{
+				Group: clients / cohorts, Cohorts: cohorts, CohortBy: roundRobin(cohorts), Uplink: up.Dialer(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dial := serve(leaf)
+
+			sealers := newSealers(t, clients, hear.Int64Sum, 0x51ee)
+			var wg sync.WaitGroup
+			for i, sealer := range sealers {
+				conn, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := aggsvc.NewClient(conn, sealer, aggsvc.ClientOptions{Timeout: 30 * time.Second})
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					defer c.Close()
+					in, out := make([]int64, elems), make([]int64, elems)
+					for j := range in {
+						in[j] = int64(i*elems + j)
+					}
+					for r := 0; r < rounds; r++ {
+						if _, err := c.Aggregate(in, out); err != nil {
+							t.Errorf("client %d round %d: %v", i, r, err)
+							return
+						}
+					}
+					for j := range out {
+						// Σ_i (i·elems + j) over the four clients.
+						if want := int64(elems*clients*(clients-1)/2 + clients*j); out[j] != want {
+							t.Errorf("client %d elem %d = %d, want %d", i, j, out[j], want)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+
+			for _, tier := range []struct {
+				name      string
+				s         *aggsvc.Server
+				completed uint64
+			}{{"leaf", leaf, cohorts * rounds}, {"root", root, rounds}} {
+				m := tier.s.StatsMap()
+				if m["rounds_completed"] != tier.completed || m["rounds_aborted"] != 0 ||
+					m["clients_evicted"] != 0 || m["relay_failures"] != 0 {
+					t.Errorf("%s: completed %d (want %d), aborted %d, evicted %d, relay failures %d",
+						tier.name, m["rounds_completed"], tier.completed, m["rounds_aborted"],
+						m["clients_evicted"], m["relay_failures"])
+				}
+			}
+		})
+	}
+}
+
 // severPostJoin wraps a client connection so its first write after any
 // successful read fails and drops the connection — the client writes only
 // HELLO before reading JOIN, so this deterministically kills a participant

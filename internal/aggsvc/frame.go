@@ -36,6 +36,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // ProtocolVersion is the current wire protocol version. The server admits
@@ -373,6 +374,16 @@ type joinFrame struct {
 	DeadlineMS uint32 // time remaining until the round deadline
 	ChunkBytes int    // the gateway's SUBMIT chunk granularity
 	Epoch      uint64 // the round's agreed seal epoch
+}
+
+// remainingMS is JOIN's DeadlineMS for a round with d left: whole
+// milliseconds, 0 once the deadline has passed — a negative duration must
+// not wrap into a 49-day budget.
+func remainingMS(d time.Duration) uint32 {
+	if d <= 0 {
+		return 0
+	}
+	return uint32(d.Milliseconds())
 }
 
 func encodeJoin(j joinFrame) []byte {

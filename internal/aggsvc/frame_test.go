@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // encodeResult is the staged form of a RESULT payload — round, then each
@@ -187,6 +188,27 @@ func TestJoinRoundTrip(t *testing.T) {
 	for _, n := range []int{0, joinPayloadBytes - 1, joinPayloadBytes + 3} {
 		if _, err := decodeJoin(make([]byte, n)); err == nil {
 			t.Errorf("decodeJoin accepted %d B payload", n)
+		}
+	}
+}
+
+// TestJoinDeadlineClamped: a round whose deadline passes between its seal
+// and the JOIN write must advertise 0 ms left, not the ~4.29e9 ms a negative
+// duration wraps to in a uint32.
+func TestJoinDeadlineClamped(t *testing.T) {
+	for _, c := range []struct {
+		left time.Duration
+		want uint32
+	}{
+		{10 * time.Second, 10_000},
+		{1500 * time.Microsecond, 1},
+		{0, 0},
+		{-time.Nanosecond, 0},
+		{-3 * time.Millisecond, 0},
+		{-time.Hour, 0},
+	} {
+		if got := remainingMS(c.left); got != c.want {
+			t.Errorf("remainingMS(%v) = %d, want %d", c.left, got, c.want)
 		}
 	}
 }

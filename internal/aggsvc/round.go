@@ -25,9 +25,10 @@ type roundParams struct {
 // participant is one admitted client of a round.
 type participant struct {
 	slot      int
-	conn      net.Conn // read-deadline poked on abort to unblock its reader
-	dataGot   int      // bytes accepted on the data lane (in-order)
-	tagGot    int      // bytes accepted on the tag lane
+	conn      net.Conn
+	parked    bool // handler may be blocked reading conn for this round; see pokeLocked
+	dataGot   int  // bytes accepted on the data lane (in-order)
+	tagGot    int  // bytes accepted on the tag lane
 	submitted bool
 	evicted   bool // straggler cut at the deadline under a quorum policy
 
@@ -105,10 +106,11 @@ type roundState struct {
 
 	// Seal-epoch fix point. JOIN may only be written once the round's seal
 	// epoch is known: immediately at fill for flat rounds, after the
-	// upstream JOIN names it for federated ones.
-	joinCh     chan struct{}
+	// upstream JOIN names it for federated ones. epochAt is when it was fixed
+	// (the start of each participant's join-wake latency).
 	epochSet   bool
 	epochFixed uint64
+	epochAt    time.Time
 
 	// RESULT prefix scratch, encoded exactly once per round (resultVectors):
 	// the round id + data length words and the tag length word that frame
@@ -319,28 +321,60 @@ func (r *roundState) coverage() (ranks []uint32, complete bool, ok bool) {
 	return ranks, true, true
 }
 
-// abort fails the round with a typed error. The first abort wins; every
-// participant's pending read is interrupted so its handler can deliver the
-// ABORT frame promptly instead of blocking until its own deadline.
+// pokeLocked interrupts p's handler if it is blocked reading its connection
+// on this round's behalf, by arming a read deadline in the past. It is the
+// round's only wake primitive and has one rule: a poke happens under r.mu
+// and only while p is parked (admission → unpark), and the handler clears
+// the deadline under the same lock. So no wake is lost — the deadline is
+// sticky, a read that starts after the poke fails at once — and none lands
+// late on a read that belongs to the connection's next round.
+func (r *roundState) pokeLocked(p *participant) {
+	if p.parked {
+		p.conn.SetReadDeadline(time.Unix(1, 0))
+	}
+}
+
+// woken reports whether awaitFull has nothing left to wait for — the seal
+// epoch is fixed or the round is over — and if so clears the poke that said
+// so. p stays parked: an abort must still reach its SUBMIT reads.
+func (r *roundState) woken(p *participant) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.epochSet && !r.done {
+		return false
+	}
+	p.conn.SetReadDeadline(time.Time{})
+	return true
+}
+
+// unpark ends p's exposure to pokes and clears any that landed; the
+// connection's next read belongs to whatever the client sends next.
+func (r *roundState) unpark(p *participant) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p.parked = false
+	p.conn.SetReadDeadline(time.Time{})
+}
+
+// abort fails the round with a typed error. The first abort wins.
 func (r *roundState) abort(code AbortCode, format string, args ...any) {
 	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
-		return
+	defer r.mu.Unlock()
+	if !r.done {
+		r.failLocked(&AbortError{Round: r.id, Code: code, Msg: fmt.Sprintf(format, args...)})
 	}
+}
+
+// failLocked ends the round with aerr for everyone: every parked reader is
+// interrupted so its handler delivers the ABORT frame promptly instead of
+// blocking until its own deadline, and the outcome waiters are released.
+func (r *roundState) failLocked(aerr *AbortError) {
 	r.endLocked()
-	r.abortErr = &AbortError{Round: r.id, Code: code, Msg: fmt.Sprintf(format, args...)}
-	parts := r.parts
-	r.parts = nil // release participant references; the round is over
-	r.mu.Unlock()
-	// Poke every participant's blocked read *before* releasing the
-	// outcome waiters: finishRound clears the poke once it wakes, so a
-	// poke landing after the clear would kill a healthy connection's next
-	// (post-round) read.
-	past := time.Unix(1, 0)
-	for _, p := range parts {
-		p.conn.SetReadDeadline(past)
+	r.abortErr = aerr
+	for _, p := range r.parts {
+		r.pokeLocked(p)
 	}
+	r.parts = nil // release participant references; the round is over
 	close(r.doneCh)
 }
 
@@ -390,11 +424,11 @@ func (r *roundState) slotOf(p *participant) int {
 // is whatever the upstream tier's JOIN named — the root of the federation
 // applies the max+1 rule exactly once over every cohort's advertised
 // maximum, so all clients of the whole tree seal at one epoch. Valid only
-// after joinCh has closed.
-func (r *roundState) sealEpoch() uint64 {
+// once fixed (woken reported true); at is when that happened.
+func (r *roundState) sealEpoch() (epoch uint64, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epochFixed
+	return r.epochFixed, r.epochAt
 }
 
 // cohortEpoch is the highest key epoch this round's participants advertised
@@ -408,9 +442,9 @@ func (r *roundState) cohortEpoch() uint64 {
 	return r.maxEpoch
 }
 
-// fixEpoch fixes the round's seal epoch and releases the JOIN writers. The
-// first fix wins; flat rounds fix at fill, federated rounds when the
-// upstream JOIN arrives.
+// fixEpoch fixes the round's seal epoch and wakes the JOIN writers parked in
+// awaitFull. The first fix wins; flat rounds fix at fill, federated rounds
+// when the upstream JOIN arrives.
 func (r *roundState) fixEpoch(epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -423,7 +457,10 @@ func (r *roundState) fixEpochLocked(epoch uint64) {
 	}
 	r.epochSet = true
 	r.epochFixed = epoch
-	close(r.joinCh)
+	r.epochAt = time.Now()
+	for _, p := range r.parts {
+		r.pokeLocked(p)
+	}
 }
 
 // finishRelay resolves a federated round's second stage with the globally
@@ -576,7 +613,6 @@ func (r *roundState) expire(timeout time.Duration) {
 			r.degrading = true
 			r.survivors = delivered
 			evicted := 0
-			past := time.Unix(1, 0)
 			for _, p := range r.parts {
 				if p.delivered {
 					continue
@@ -586,7 +622,7 @@ func (r *roundState) expire(timeout time.Duration) {
 				evicted++
 				// Unblock the straggler's pending read so its handler
 				// delivers the eviction ABORT promptly.
-				p.conn.SetReadDeadline(past)
+				r.pokeLocked(p)
 			}
 			r.evictErr = &AbortError{Round: r.id, Code: AbortStraggler,
 				Msg: fmt.Sprintf("deadline (%s) expired with %d/%d delivered; round degraded, %d stragglers evicted (quorum %d) — retry",
@@ -599,7 +635,6 @@ func (r *roundState) expire(timeout time.Duration) {
 		}
 	}
 	if r.quorum > 0 && r.finished >= r.quorum && len(r.parts) > 0 {
-		r.endLocked()
 		evicted := 0
 		for _, p := range r.parts {
 			if !p.submitted {
@@ -607,19 +642,10 @@ func (r *roundState) expire(timeout time.Duration) {
 				evicted++
 			}
 		}
-		r.abortErr = &AbortError{Round: r.id, Code: AbortStraggler,
+		r.failLocked(&AbortError{Round: r.id, Code: AbortStraggler,
 			Msg: fmt.Sprintf("deadline (%s) expired with %d/%d finished; %d stragglers evicted (quorum %d) — retry",
-				timeout, r.finished, r.group, evicted, r.quorum)}
-		parts := r.parts
-		r.parts = nil // release participant references; the round is over
+				timeout, r.finished, r.group, evicted, r.quorum)})
 		r.mu.Unlock()
-		// Poke before close(doneCh), as in abort: the outcome waiters
-		// clear the poke on wake.
-		past := time.Unix(1, 0)
-		for _, p := range parts {
-			p.conn.SetReadDeadline(past)
-		}
-		close(r.doneCh)
 		return
 	}
 	r.mu.Unlock()
@@ -693,7 +719,6 @@ func (m *roundManager) join(conn net.Conn, params roundParams, epoch uint64, coh
 			chunk:        m.chunk,
 			fullCh:       make(chan struct{}),
 			doneCh:       make(chan struct{}),
-			joinCh:       make(chan struct{}),
 			relayCh:      make(chan struct{}),
 		}
 		m.nextID++
@@ -706,7 +731,7 @@ func (m *roundManager) join(conn net.Conn, params roundParams, epoch uint64, coh
 		r.timer = time.AfterFunc(timeout, func() { r.expire(timeout) })
 		m.open[cohort] = r
 	}
-	p := &participant{conn: conn, version: pm.version, rank: pm.rank, degraded: pm.degradedOK}
+	p := &participant{conn: conn, parked: true, version: pm.version, rank: pm.rank, degraded: pm.degradedOK}
 	r.mu.Lock()
 	p.slot = len(r.parts) // assigned under the lock: pre-fill leaves renumber
 	r.parts = append(r.parts, p)

@@ -265,6 +265,7 @@ type Server struct {
 	roundsRelayed   atomic.Uint64
 	relayFailures   atomic.Uint64
 	roundsDegraded  atomic.Uint64
+	joinWake        *metrics.Histogram // nil without Config.Metrics
 }
 
 // NewServer validates cfg, starts the fold worker pool, and returns a
@@ -300,6 +301,9 @@ func (s *Server) registerMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
+	// Seal epoch fixed → this participant's JOIN written, 10 µs … 100 ms: a
+	// wake that waits on a timer instead of the event shows as a spike here.
+	s.joinWake = r.Histogram("hear_gateway_join_wake_seconds", nil, metrics.DurationBuckets[:9])
 	gauges := map[string]bool{"rounds_active": true, "pool_blocks": true, "cohorts": true}
 	r.RegisterSource(func(emit func(metrics.Sample)) {
 		for k, v := range s.StatsMap() {
@@ -589,19 +593,21 @@ func (s *Server) serveRound(conn net.Conn, h helloFrame, cohort int) bool {
 		s.finishRound(conn, r, part)
 		return true
 	}
+	epoch, fixedAt := r.sealEpoch()
 	join := joinFrame{
 		Round:      r.id,
 		Slot:       part.slot,
 		Group:      r.group,
-		DeadlineMS: uint32(time.Until(r.deadline).Milliseconds()),
+		DeadlineMS: remainingMS(time.Until(r.deadline)),
 		ChunkBytes: r.chunk,
-		Epoch:      r.sealEpoch(),
+		Epoch:      epoch,
 	}
 	if err := s.writeJoin(conn, join); err != nil {
 		r.abort(AbortPeerLost, "slot %d unreachable at JOIN: %v", part.slot, err)
 		s.finishRound(conn, r, part)
 		return false
 	}
+	s.joinWake.Observe(time.Since(fixedAt).Seconds())
 
 	healthy := s.receiveLanes(conn, r, part, folds)
 	s.finishRound(conn, r, part)
@@ -617,10 +623,6 @@ func (s *Server) serveRound(conn net.Conn, h helloFrame, cohort int) bool {
 	return healthy
 }
 
-// joinProbeInterval is how often the JOIN-wait loop samples a pending
-// participant's connection for early death or protocol violations.
-const joinProbeInterval = 20 * time.Millisecond
-
 // isTimeout reports whether err is a read-deadline expiry.
 func isTimeout(err error) bool {
 	var ne net.Error
@@ -628,27 +630,17 @@ func isTimeout(err error) bool {
 }
 
 // awaitFull parks an admitted participant until its round's seal epoch is
-// fixed (joinCh — at fill for flat rounds, after the upstream JOIN for
-// federated ones) or the round ends (doneCh). A legal client sends nothing
-// between HELLO and JOIN, so the wait probes the connection with short
-// read deadlines: silence means alive, data is a protocol violation, and
-// a dead connection frees the slot — a pre-fill death must not poison the
-// round, because nothing has been sealed against it yet. It reports
-// whether the handler should continue into the round (joinable or
-// aborted); false means this connection is done for.
+// fixed (at fill for flat rounds, after the upstream JOIN for federated
+// ones) or the round ends. A legal client sends nothing between HELLO and
+// JOIN, so the wait is one read with no deadline: it returns only for a
+// poke (roundState.pokeLocked — the wake), for data, which is a protocol
+// violation, or for a dead connection, which frees the slot — a pre-fill
+// death must not poison the round, because nothing has been sealed against
+// it yet. It reports whether the handler should continue into the round
+// (joinable or aborted); false means this connection is done for.
 func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool {
 	var probe [1]byte
-	for {
-		select {
-		case <-r.joinCh:
-			conn.SetReadDeadline(time.Time{})
-			return true
-		case <-r.doneCh:
-			conn.SetReadDeadline(time.Time{})
-			return true
-		default:
-		}
-		conn.SetReadDeadline(time.Now().Add(joinProbeInterval))
+	for !r.woken(part) {
 		n, err := conn.Read(probe[:])
 		switch {
 		case n > 0:
@@ -668,8 +660,7 @@ func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool
 			s.finishRound(conn, r, part)
 			return false
 		case err == nil || isTimeout(err):
-			// Silence: still waiting. (An abort's read-deadline poke also
-			// lands here and is caught by the doneCh check next pass.)
+			// Poked: woken says by what.
 		default:
 			// The connection died. With the membership still open the slot
 			// is freed so the round fills from live clients; if the round
@@ -689,6 +680,7 @@ func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool
 			return false
 		}
 	}
+	return true
 }
 
 // receiveLanes reads the participant's SUBMIT stream, folding chunks
@@ -924,7 +916,7 @@ func (s *Server) finishRound(conn net.Conn, r *roundState, part *participant) bo
 		aerr = r.relayOutcome()
 	}
 	waitTm.Stop()
-	conn.SetReadDeadline(time.Time{}) // clear the abort poke, if any
+	r.unpark(part)
 	var surv []uint32
 	if aerr == nil {
 		surv = r.resultSurvivors()

@@ -94,7 +94,6 @@ func newIngestHarness(elems, chunk int) (*ingestHarness, error) {
 		data:   make([]byte, laneBytes),
 		fullCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
-		joinCh: make(chan struct{}),
 	}
 	part := &participant{slot: 0}
 	r.parts = []*participant{part}
@@ -148,7 +147,6 @@ func newResultRound(id uint64, laneBytes int, tagged bool) *roundState {
 		data:   make([]byte, laneBytes),
 		fullCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
-		joinCh: make(chan struct{}),
 	}
 	for i := range r.data {
 		r.data[i] = byte(i * 131)
