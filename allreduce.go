@@ -78,11 +78,6 @@ func (c *Context) allreduce(comm *mpi.Comm, s core.Scheme, plain []byte, n int) 
 	if err := c.eng.Encrypt(s, c.st, plain, cipher, n); err != nil {
 		return err
 	}
-	// The blocking reduction below is this call's communication window:
-	// kick the prefetcher now so the next epoch's noise (and this epoch's
-	// decrypt plane, when cold) generates on the worker pool while this
-	// goroutine waits on the network or the INC tree.
-	c.kickPrefetch(s, n)
 	if c.opts.INC != nil {
 		c.mx.incCalls.Inc()
 		if err := c.opts.INC.Allreduce(c.rank, cipher); err != nil {
@@ -150,12 +145,6 @@ func (c *Context) allreducePipelined(comm *mpi.Comm, s core.Scheme, plain []byte
 		req, err := comm.Iallreduce(block[:elems*cs], block[:elems*cs], elems, mpi.CipherType(cs), op)
 		if err != nil {
 			return fmt.Errorf("hear: pipelined reduction start: %w", err)
-		}
-		if off == 0 {
-			// First block is in flight: the pipeline's overlap window has
-			// opened, so speculative generation for the next epoch rides
-			// along with the remaining blocks' crypto.
-			c.kickPrefetch(s, n)
 		}
 		cur := &inflight{req: req, buf: block, off: off, elems: elems}
 		if prev != nil {

@@ -7,11 +7,9 @@ package hear
 
 import (
 	"testing"
-	"time"
 
 	"hear/internal/adversary"
 	"hear/internal/baseline"
-	"hear/internal/chaos"
 	"hear/internal/core"
 	"hear/internal/dnn"
 	"hear/internal/engine"
@@ -399,58 +397,6 @@ func BenchmarkHoMACTagAndVerify(b *testing.B) {
 	}
 }
 
-// HoMAC naive vs canceling verification (§5.5's "can be improved" remark).
-func benchmarkHoMACVerify(b *testing.B, p int, naive bool) {
-	states := benchKeys(b, prf.BackendAESFast, p)
-	v, err := homac.New(ring.MersennePrime61, 424242)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 256
-	starting := make([]uint64, p)
-	for i, st := range states {
-		starting[i] = st.SelfKey
-	}
-	var cT, sigmaT []uint64
-	for i := 0; i < p; i++ {
-		states[i].Advance()
-		cipher := make([]uint64, n)
-		tags := make([]uint64, n)
-		if naive {
-			err = v.TagNaive(states[i], cipher, tags)
-		} else {
-			err = v.Tag(states[i], cipher, tags)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cT == nil {
-			cT = append([]uint64(nil), cipher...)
-			sigmaT = append([]uint64(nil), tags...)
-		} else {
-			for j := range cT {
-				cT[j] += cipher[j]
-			}
-			v.Aggregate(sigmaT, tags)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var bad int
-		if naive {
-			bad = v.VerifyNaive(states[0], starting, cT, sigmaT, p)
-		} else {
-			bad = v.Verify(states[0], cT, sigmaT, p)
-		}
-		if bad != -1 {
-			b.Fatalf("verification failed at %d", bad)
-		}
-	}
-}
-
-func BenchmarkHoMACVerifyCancelingP16(b *testing.B) { benchmarkHoMACVerify(b, 16, false) }
-func BenchmarkHoMACVerifyNaiveP16(b *testing.B)     { benchmarkHoMACVerify(b, 16, true) }
-
 // --- §5.3.1: MAP attack evaluation cost ---
 
 func BenchmarkMAPAttack8Bit(b *testing.B) {
@@ -490,55 +436,3 @@ func benchmarkE2E(b *testing.B, elems int) {
 func BenchmarkE2EAllreduce2(b *testing.B)     { benchmarkE2E(b, 2) }
 func BenchmarkE2EAllreduce4Ki(b *testing.B)   { benchmarkE2E(b, 4096) }
 func BenchmarkE2EAllreduce256Ki(b *testing.B) { benchmarkE2E(b, 256*1024) }
-
-// --- noise prefetch overlap (On vs Off pins the tentpole's speedup) ---
-
-// benchmarkPrefetch measures a steady-state Allreduce train over a link
-// with a per-message delivery delay (a chaos FaultDelay rule standing in
-// for real network latency). The delay sleeps on the sender goroutine, so
-// the run has a genuine communication window for the prefetcher to hide
-// next-epoch keystream generation in — on a single core the On/Off gap is
-// pure overlap, not extra parallelism. The headline pair runs the software
-// ChaCha20 backend, where keystream generation dominates the host-side
-// cost (the regime of every non-AES-NI host); the AES-NI pair is the
-// same train where generation is a small slice of wall time, so the
-// overlap's ceiling is correspondingly low.
-func benchmarkPrefetch(b *testing.B, backend string, elems, budget int) {
-	const p = 2
-	w := mpi.NewWorld(p)
-	delay := chaos.NewRule(chaos.LayerMPI, chaos.FaultDelay)
-	delay.Delay = 2 * time.Millisecond
-	w.SetInterceptor(chaos.NewPlan(7, delay).MPIInterceptor())
-	ctxs, err := Init(w, Options{Rand: &seqReader{next: 11}, NoisePrefetch: budget, PRFBackend: backend})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(elems * 8))
-	b.ResetTimer()
-	err = w.Run(0, func(c *mpi.Comm) error {
-		data := make([]int64, elems)
-		out := make([]int64, elems)
-		for i := 0; i < b.N; i++ {
-			if err := ctxs[c.Rank()].AllreduceInt64Sum(c, data, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkPrefetchAllreduce512KiOff(b *testing.B) {
-	benchmarkPrefetch(b, prf.BackendChaCha20, 64<<10, 0)
-}
-func BenchmarkPrefetchAllreduce512KiOn(b *testing.B) {
-	benchmarkPrefetch(b, prf.BackendChaCha20, 64<<10, 16<<20)
-}
-func BenchmarkPrefetchAllreduceAES512KiOff(b *testing.B) {
-	benchmarkPrefetch(b, prf.BackendAESFast, 64<<10, 0)
-}
-func BenchmarkPrefetchAllreduceAES512KiOn(b *testing.B) {
-	benchmarkPrefetch(b, prf.BackendAESFast, 64<<10, 16<<20)
-}

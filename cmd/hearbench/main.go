@@ -9,8 +9,7 @@
 //	hearbench fig8       16 B latency scaling to 1152 ranks
 //	hearbench fig9       DNN training relative iteration time
 //	hearbench map        §5.3.1 MAP adversary success probabilities
-//	hearbench prefetch   noise prefetch overlap speedup (BENCH_prefetch.json)
-//	hearbench federation gateway-federation fan-in scaling (BENCH_federation.json)
+//	hearbench federation gateway-federation fan-in scaling (1M-client model)
 //	hearbench inc        INC's latency/bandwidth advantages (intro claims)
 //	hearbench ablation   design-choice ablations (canceling, PRF backend, op cost)
 //	hearbench validate   §6 correctness validation (float error, int memcmp)
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +48,6 @@ func main() {
 		"fig8":       fig8,
 		"fig9":       fig9,
 		"map":        mapAttack,
-		"prefetch":   prefetchExp,
 		"federation": federationExp,
 		"inc":        incExp,
 		"ablation":   ablation,
@@ -92,27 +89,4 @@ func iters(full int) int {
 		return n
 	}
 	return full
-}
-
-// writeReport records a full run's report in path. A -quick run prints it
-// instead, as one line of JSON, so smoke numbers never replace the
-// committed record of a full run.
-func writeReport(path string, report any) error {
-	if *quick {
-		blob, err := json.Marshal(report)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("-quick: %s not written; the report is the next line\n%s\n", path, blob)
-		return nil
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
 }

@@ -367,22 +367,6 @@ func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, e
 	return cipher, tags, nil
 }
 
-// PrefetchNext starts speculative generation of the next seal epoch's
-// noise planes (Options.NoisePrefetch). The gateway client calls it after
-// uploading its lanes, so the keystream for the following round generates
-// while the gateway aggregates the current one. elems is the expected next
-// vector length — normally this round's. Epoch tagging keeps it safe when
-// the prediction is wrong: a sealer that later catches up several epochs
-// (after missing a round's JOIN) simply misses the cache. A no-op when
-// prefetching is disabled.
-func (g *GatewaySealer) PrefetchNext(elems int) {
-	s, err := g.ctx.Scheme(g.kind)
-	if err != nil {
-		return
-	}
-	g.ctx.kickPrefetch(s, elems)
-}
-
 // Verify checks a reduced (ciphertext, tag) lane pair against this rank's
 // keys before the aggregate is trusted. With verification disabled it is a
 // no-op; with it enabled, missing tags are an error — a gateway must not be

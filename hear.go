@@ -37,7 +37,6 @@ import (
 	"hear/internal/mempool"
 	"hear/internal/metrics"
 	"hear/internal/mpi"
-	"hear/internal/noise"
 	"hear/internal/prf"
 	"hear/internal/ring"
 	"hear/internal/trace"
@@ -78,17 +77,6 @@ type Options struct {
 	// 1 forces the serial path. The engine is shared by every context of
 	// the communicator, mirroring one worker pool per node.
 	Workers int
-	// NoisePrefetch, when positive, enables the speculative keystream
-	// prefetcher (internal/noise) with that many bytes of plane budget per
-	// rank: while a collective is blocked on the network, the next epoch's
-	// noise planes generate on the engine's worker pool, and the following
-	// call's Encrypt/Decrypt consume precomputed bytes instead of running
-	// the PRF on the critical path. Bit-identical to the unprefetched path;
-	// epoch-tagged so out-of-band key advances (the verified-retry ladder)
-	// miss instead of using stale noise. Budget guidance: two epochs of
-	// planes ≈ 6× the message's noise bytes (a truncated budget still
-	// prefix-hits). 0 (default) disables.
-	NoisePrefetch int
 	// VerifiedRetry bounds how many extra attempts AllreduceInt64SumVerified
 	// makes after a retryable failure (tampering detected by the HoMAC
 	// check, or an INC/runtime timeout), stepping down the degradation
@@ -106,9 +94,9 @@ type Options struct {
 	// the given registry under the hear_* namespace: per-path allreduce
 	// call counters and latency histogram, verified-retry attempt counters
 	// per ladder rung, gateway sealer operations, and snapshot-time
-	// sources for the cipher engine's shard phases, the noise prefetcher,
-	// and the pipeline mempool. The hot-path instruments are atomic and
-	// allocation-free; nil (the default) disables all of it.
+	// sources for the cipher engine's shard phases and the pipeline
+	// mempool. The hot-path instruments are atomic and allocation-free;
+	// nil (the default) disables all of it.
 	Metrics *metrics.Registry
 	// EnableP2P generates the §8 pairwise key matrix at initialization,
 	// enabling SendEncrypted/RecvEncrypted and the encrypted non-reducing
@@ -159,10 +147,6 @@ type Context struct {
 	// repeated allreduces stop paying mem_alloc/mem_free (Fig. 4) per
 	// call; see cipherBuf in allreduce.go.
 	syncBuf []byte
-
-	// prefetch is the speculative keystream engine (Options.NoisePrefetch);
-	// nil when disabled. It owns the cache-backed PRF installed in st.Enc.
-	prefetch *noise.Prefetcher
 
 	// faultInjector, when set, corrupts the reduced ciphertext before
 	// HoMAC verification (testing/demo hook; see SetFaultInjector).
@@ -244,11 +228,6 @@ func Init(w *mpi.World, opts Options) ([]*Context, error) {
 			ctx.pairKeys = matrix[i]
 			ctx.sendSeq = make([]uint64, w.Size())
 		}
-		if opts.NoisePrefetch > 0 {
-			// Attach wraps st.Enc, so every scheme bound to this state
-			// consumes noise through the plane cache from here on.
-			ctx.prefetch = noise.Attach(states[i], eng.Pool(), eng.Phases(), opts.NoisePrefetch)
-		}
 		ctxs[i] = ctx
 	}
 	registerTelemetry(opts.Metrics, eng, ctxs)
@@ -268,31 +247,6 @@ func (c *Context) EngineBreakdown() *trace.Breakdown { return c.eng.Phases().Sna
 
 // Size returns the communicator size.
 func (c *Context) Size() int { return c.size }
-
-// PrefetchStats returns the noise prefetcher's lifetime counters; the zero
-// Stats when NoisePrefetch is off. The byte counters also surface in
-// EngineBreakdown as the prefetch_hit_bytes / prefetch_miss_bytes phases.
-func (c *Context) PrefetchStats() noise.Stats {
-	if c.prefetch == nil {
-		return noise.Stats{}
-	}
-	return c.prefetch.Stats()
-}
-
-// kickPrefetch starts speculative generation of the noise planes the next
-// collective of this scheme and size will need (plus this call's decrypt
-// plane when cold). Callers place it where the communication window opens —
-// right before the blocking reduction, or after the first Iallreduce
-// submit — so generation overlaps the wait. A no-op without a prefetcher
-// or for schemes with no static noise profile.
-func (c *Context) kickPrefetch(s core.Scheme, n int) {
-	if c.prefetch == nil {
-		return
-	}
-	if np, ok := s.(core.NoiseProfiler); ok {
-		c.prefetch.Kick(np.NoiseProfile(), n)
-	}
-}
 
 // scheme returns (creating on first use) the named scheme instance.
 func (c *Context) scheme(key string, mk func() (core.Scheme, error)) (core.Scheme, error) {

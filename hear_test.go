@@ -523,3 +523,40 @@ func TestWireUniformityEndToEnd(t *testing.T) {
 		t.Errorf("χ² = %.1f: wire traffic is not uniform", chi2)
 	}
 }
+
+// TestCipherBufGrowShrinkNoRealloc pins the sync-path ciphertext scratch:
+// once grown, trains of grow/shrink calls reuse the same block with zero
+// allocations per call.
+func TestCipherBufGrowShrinkNoRealloc(t *testing.T) {
+	_, ctxs := initWorld(t, 1, Options{})
+	ctx := ctxs[0]
+	sizes := []int{64 << 10, 4 << 10, 128, 100 << 10, 32 << 10, 128 << 10, 1 << 10}
+	// Warm to the largest size in the train.
+	buf, done := ctx.cipherBuf(128 << 10)
+	if len(buf) != 128<<10 {
+		t.Fatalf("warm buf len %d", len(buf))
+	}
+	done()
+	bad := -1
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range sizes {
+			b, release := ctx.cipherBuf(n)
+			if len(b) != n {
+				bad = n
+			}
+			release()
+		}
+	})
+	if bad >= 0 {
+		t.Fatalf("cipherBuf returned wrong length for %d", bad)
+	}
+	if allocs != 0 {
+		t.Errorf("grow/shrink train allocates %v per run, want 0", allocs)
+	}
+	// Above the pooling cap the buffer is a fresh one-shot allocation.
+	big, release := ctx.cipherBuf(5 << 20)
+	if len(big) != 5<<20 {
+		t.Fatalf("oversized buf len %d", len(big))
+	}
+	release()
+}

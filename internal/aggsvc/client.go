@@ -76,15 +76,6 @@ type CoverageReporter interface {
 	Coverage() (ranks []uint32, complete bool, ok bool)
 }
 
-// NoisePrefetcher is optionally implemented by Sealers that can precompute
-// the next round's sealing material while the current round's aggregate is
-// in flight (hear.GatewaySealer when Options.NoisePrefetch is enabled).
-// The client invokes it after its lanes are uploaded; implementations must
-// not block.
-type NoisePrefetcher interface {
-	PrefetchNext(elems int)
-}
-
 // ClientOptions tunes a gateway client.
 type ClientOptions struct {
 	// MaxFrameBytes bounds incoming frames (default DefaultMaxFrameBytes).
@@ -362,14 +353,6 @@ func (c *Client) aggregateOnce(vals, out []int64) (Round, error) {
 		if err := c.submitLane(join.Round, LaneTag, tags, chunk); err != nil {
 			return Round{}, err
 		}
-	}
-	// Lanes are uploaded; the wait for RESULT below is the round's
-	// communication window. A sealer that can precompute (hear's noise
-	// prefetcher) overlaps the next round's keystream generation with the
-	// gateway's aggregation. Optional-interface dispatch keeps this package
-	// key-blind — it never learns what the sealer precomputes.
-	if np, ok := c.sealer.(NoisePrefetcher); ok {
-		np.PrefetchNext(len(vals))
 	}
 
 	t, p, err = c.readFrameReuse()

@@ -23,83 +23,39 @@ import (
 // aliasing plain) is safe — each element is loaded before its ciphertext is
 // stored.
 
-// noiseStream adapts one PRF noise stream for a fused kernel, splitting
-// the requested span into (a) a prefix already materialized in the noise
-// prefetcher's cache — detected through prf.SpanCache and copied once into
-// pooled scratch via the wrapper's hit-accounted Keystream path — and (b)
-// a tail generated block-by-block on the live backend, bypassing the
-// wrapper. Prefetch hit uses the plane; miss uses fusion.
-//
-// Streams are pooled (openNoise/close) rather than stack-allocated: the
-// BlockSource hands interior pointers of its staging buffer to interface
-// method calls, so escape analysis heap-allocates it — pooling makes the
-// hot path allocation-free anyway, the same trade getScratch makes for
-// keystream planes.
+// noiseStream is one PRF noise stream of a fused kernel: a pooled
+// prf.BlockSource. Streams are pooled (openNoise/close) rather than
+// stack-allocated: the BlockSource hands interior pointers of its staging
+// buffer to interface method calls, so escape analysis heap-allocates it —
+// pooling makes the hot path allocation-free anyway, the same trade
+// getScratch makes for the wrapper schemes' scratch.
 type noiseStream struct {
-	pfx  []byte  // cached prefix (whole blocks), served before the tail
-	tok  *[]byte // scratch token owning pfx
-	at   int     // read position in pfx
-	tail bool    // bs holds the generated tail
-	bs   prf.BlockSource
+	bs prf.BlockSource
 }
 
 var noiseStreamPool = sync.Pool{New: func() any { return new(noiseStream) }}
 
 // openNoise takes a pooled stream positioned at byte offset off of stream
 // nonce, sized to serve nb bytes in BlockBytes steps. Call close when done
-// to return it (and any prefix scratch) to the pool.
+// to return it to the pool.
 func openNoise(enc prf.PRF, nonce, off uint64, nb int) *noiseStream {
 	ns := noiseStreamPool.Get().(*noiseStream)
 	ns.open(enc, nonce, off, nb)
 	return ns
 }
 
+// open (re)positions the stream; the naive Θ(P) decrypt walks P streams
+// through one pooled noiseStream this way.
 func (ns *noiseStream) open(enc prf.PRF, nonce, off uint64, nb int) {
-	if ns.tok != nil { // re-open: release the previous prefix scratch
-		putScratch(ns.tok)
-	}
-	ns.pfx = nil
-	ns.tok = nil
-	ns.at = 0
-	ns.tail = false
-	if sc, ok := enc.(prf.SpanCache); ok {
-		k := sc.CachedSpan(nonce, off, nb)
-		k &^= prf.BlockBytes - 1 // serve whole blocks from the prefix
-		if k > 0 {
-			ns.tok, ns.pfx = getScratch(k)
-			sc.Keystream(ns.pfx, nonce, off) // cache-hit copy path
-			off += uint64(k)
-			nb -= k
-		}
-		enc = sc.Generator()
-	}
-	if nb > 0 || ns.pfx == nil {
-		ns.bs.Init(enc, nonce, off, nb)
-		ns.tail = true
-	}
+	ns.bs.Init(enc, nonce, off, nb)
 }
 
 // next returns the next BlockBytes noise bytes, valid until the following
 // next call.
-func (ns *noiseStream) next() *[prf.BlockBytes]byte {
-	if ns.at < len(ns.pfx) {
-		p := (*[prf.BlockBytes]byte)(ns.pfx[ns.at:])
-		ns.at += prf.BlockBytes
-		return p
-	}
-	return ns.bs.Next()
-}
+func (ns *noiseStream) next() *[prf.BlockBytes]byte { return ns.bs.Next() }
 
-// close returns the cached-prefix scratch, if any, and the stream itself
-// to their pools. The stream must not be used after close.
-func (ns *noiseStream) close() {
-	if ns.tok != nil {
-		putScratch(ns.tok)
-		ns.tok = nil
-		ns.pfx = nil
-	}
-	noiseStreamPool.Put(ns)
-}
+// close returns the stream to its pool. It must not be used after close.
+func (ns *noiseStream) close() { noiseStreamPool.Put(ns) }
 
 // blockLen clips one streaming block to the remaining span: the fused
 // loops advance done in BlockBytes steps and process min(BlockBytes,

@@ -58,50 +58,6 @@ type Scheme interface {
 	Reduce(dst, src []byte, n int)
 }
 
-// NoiseClass identifies one of the PRF streams a scheme draws bulk noise
-// from. The noise prefetcher (internal/noise) maps classes to concrete
-// stream nonces for a given key epoch.
-type NoiseClass int
-
-const (
-	// NoiseSelf is the rank's own stream, F(k_s_i + k_c + ·).
-	NoiseSelf NoiseClass = iota
-	// NoiseNext is the canceling stream, F(k_s_{i+1} + k_c + ·). The last
-	// rank (keys.RankState.IsLast) draws nothing from it — its noise term
-	// is the one eqs. 1–3 leave uncanceled.
-	NoiseNext
-	// NoiseRoot is rank 0's stream, F(k_s_0 + k_c + ·), the one that
-	// survives the telescoping reduction and is removed by Θ(1) decryption.
-	NoiseRoot
-	// NoiseCollective is the k_c-only stream F(k_c + ·) of the float v1
-	// addition scheme (eq. 7), whose noise ignores rank keys entirely.
-	NoiseCollective
-	// NumNoiseClasses bounds the class space for table sizing.
-	NumNoiseClasses
-)
-
-// NoiseProfile declares a scheme's bulk keystream consumption statically:
-// which stream classes Encrypt and Decrypt read and how many keystream
-// bytes per element each read consumes. A profile must be exact — an
-// n-element call at global element offset off reads exactly bytes
-// [off·B, (off+n)·B) of every listed stream and nothing else — which is
-// what lets the prefetcher size and place whole next-epoch noise planes
-// without running the scheme.
-type NoiseProfile struct {
-	BytesPerElem int
-	Encrypt      []NoiseClass
-	Decrypt      []NoiseClass
-}
-
-// NoiseProfiler is implemented by schemes whose bulk noise reads are
-// statically describable. Schemes without it (the naive Θ(P)-decrypt
-// ablation variant, whose decrypt walks P per-rank streams) are simply
-// never prefetched. HoMAC's point queries go through PRF.Uint64, which is
-// outside profiles and always served by the live backend.
-type NoiseProfiler interface {
-	NoiseProfile() NoiseProfile
-}
-
 // SpanError is the typed error every scheme entry point returns for an
 // invalid (n, off) element span: negative counts or offsets, and spans
 // whose byte addressing would overflow. It exists because the keystream

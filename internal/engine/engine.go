@@ -61,13 +61,6 @@ func (e *Engine) Workers() int { return e.p.Workers() }
 // decrypt_shard / reduce_shard samples, one per shard).
 func (e *Engine) Phases() *trace.SyncBreakdown { return e.p.Phases() }
 
-// Pool exposes the underlying worker pool so sibling subsystems — the
-// noise prefetcher generates next-epoch keystream planes on it — share
-// this engine's workers instead of spawning a competing pool. The pool's
-// run-to-completion discipline (tasks never block on tasks) is what keeps
-// that sharing deadlock-free.
-func (e *Engine) Pool() *pool.Pool { return e.p }
-
 // Close stops the worker pool. Idle workers cost nothing, so long-lived
 // processes may simply never call it.
 func (e *Engine) Close() { e.p.Close() }

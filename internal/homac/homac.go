@@ -195,50 +195,6 @@ func (v *Vector) VerifySubset(st *keys.RankState, missing []int, reducedCipher, 
 	return -1, nil
 }
 
-// TagNaive produces the non-canceling tags of §5.5's first equation,
-// σ = (s_i − c_i)/Z mod p. Each rank's key survives into the aggregate, so
-// verification must reconstruct Σ_i s_i[j] — Θ(P) per element, the same
-// trade-off the naive encryption scheme has. Kept for the ablation pairing
-// the paper's "can be improved by using a canceling method" remark.
-func (v *Vector) TagNaive(st *keys.RankState, cipher []uint64, tags []uint64) error {
-	if len(tags) < len(cipher) {
-		return fmt.Errorf("homac: tag buffer %d < %d elements", len(tags), len(cipher))
-	}
-	self := st.SelfNonce()
-	for j, c := range cipher {
-		s := v.keyAt(st.Enc, self, j)
-		tags[j] = v.f.Mul(v.f.Sub(s, v.f.Reduce(c)), v.zInv)
-	}
-	return nil
-}
-
-// VerifyNaive checks pairs tagged with TagNaive. allStartingKeys must hold
-// every rank's starting key (the Θ(P) key knowledge the canceling form
-// avoids); wraps bounds the data-lane 2^64 wraps as in Verify.
-func (v *Vector) VerifyNaive(st *keys.RankState, allStartingKeys []uint64, reducedCipher, tags []uint64, wraps int) int {
-	pow64 := v.f.Reduce(1 << 63)
-	pow64 = v.f.Add(pow64, pow64)
-	for j := range reducedCipher {
-		var sSum uint64
-		for _, k := range allStartingKeys {
-			sSum = v.f.Add(sSum, v.keyAt(st.Enc, k+st.Collective(), j))
-		}
-		rhs := v.f.Add(v.f.Reduce(reducedCipher[j]), v.f.Mul(tags[j], v.z))
-		ok := false
-		for k := 0; k <= wraps; k++ {
-			if rhs == sSum {
-				ok = true
-				break
-			}
-			rhs = v.f.Add(rhs, pow64)
-		}
-		if !ok {
-			return j
-		}
-	}
-	return -1
-}
-
 // Overhead reports the per-element traffic multiplier the MAC adds for a
 // dataBits-wide datatype: (dataBits + λ)/dataBits, e.g. 2.0 (i.e. +100%,
 // a >200%-of-plaintext pair) for 64-bit data and a 64-bit p.

@@ -1,6 +1,7 @@
 package homac
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -149,6 +150,51 @@ func TestVerifyDetectsDroppedContribution(t *testing.T) {
 	}
 }
 
+// tagNaive produces the non-canceling tags of §5.5's first equation,
+// σ = (s_i − c_i)/Z mod p. Each rank's key survives into the aggregate, so
+// verification must reconstruct Σ_i s_i[j] — Θ(P) per element, the same
+// trade-off the naive encryption scheme has. Test-only: the reference form
+// for the ablation pairing the paper's "can be improved by using a
+// canceling method" remark.
+func tagNaive(v *Vector, st *keys.RankState, cipher []uint64, tags []uint64) error {
+	if len(tags) < len(cipher) {
+		return fmt.Errorf("homac: tag buffer %d < %d elements", len(tags), len(cipher))
+	}
+	self := st.SelfNonce()
+	for j, c := range cipher {
+		s := v.keyAt(st.Enc, self, j)
+		tags[j] = v.f.Mul(v.f.Sub(s, v.f.Reduce(c)), v.zInv)
+	}
+	return nil
+}
+
+// verifyNaive checks pairs tagged with tagNaive. allStartingKeys must hold
+// every rank's starting key (the Θ(P) key knowledge the canceling form
+// avoids); wraps bounds the data-lane 2^64 wraps as in Verify.
+func verifyNaive(v *Vector, st *keys.RankState, allStartingKeys []uint64, reducedCipher, tags []uint64, wraps int) int {
+	pow64 := v.f.Reduce(1 << 63)
+	pow64 = v.f.Add(pow64, pow64)
+	for j := range reducedCipher {
+		var sSum uint64
+		for _, k := range allStartingKeys {
+			sSum = v.f.Add(sSum, v.keyAt(st.Enc, k+st.Collective(), j))
+		}
+		rhs := v.f.Add(v.f.Reduce(reducedCipher[j]), v.f.Mul(tags[j], v.z))
+		ok := false
+		for k := 0; k <= wraps; k++ {
+			if rhs == sSum {
+				ok = true
+				break
+			}
+			rhs = v.f.Add(rhs, pow64)
+		}
+		if !ok {
+			return j
+		}
+	}
+	return -1
+}
+
 func TestNaiveTagVerifyRoundTrip(t *testing.T) {
 	v, err := New(ring.MersennePrime61, 0xFEED5)
 	if err != nil {
@@ -168,7 +214,7 @@ func TestNaiveTagVerifyRoundTrip(t *testing.T) {
 			cipher[j] = uint64(i*1000 + j)
 		}
 		tags := make([]uint64, n)
-		if err := v.TagNaive(states[i], cipher, tags); err != nil {
+		if err := tagNaive(v, states[i], cipher, tags); err != nil {
 			t.Fatal(err)
 		}
 		if cT == nil {
@@ -181,11 +227,11 @@ func TestNaiveTagVerifyRoundTrip(t *testing.T) {
 			v.Aggregate(sigmaT, tags)
 		}
 	}
-	if idx := v.VerifyNaive(states[0], starting, cT, sigmaT, p); idx != -1 {
+	if idx := verifyNaive(v, states[0], starting, cT, sigmaT, p); idx != -1 {
 		t.Errorf("honest naive aggregation rejected at %d", idx)
 	}
 	cT[3]++
-	if idx := v.VerifyNaive(states[0], starting, cT, sigmaT, p); idx != 3 {
+	if idx := verifyNaive(v, states[0], starting, cT, sigmaT, p); idx != 3 {
 		t.Errorf("naive tamper detection: got %d, want 3", idx)
 	}
 }
@@ -193,7 +239,7 @@ func TestNaiveTagVerifyRoundTrip(t *testing.T) {
 func TestNaiveTagBufferTooSmall(t *testing.T) {
 	v, _ := New(ring.MersennePrime61, 5)
 	states := genStates(t, 2)
-	if err := v.TagNaive(states[0], make([]uint64, 4), make([]uint64, 2)); err == nil {
+	if err := tagNaive(v, states[0], make([]uint64, 4), make([]uint64, 2)); err == nil {
 		t.Error("short tag buffer accepted")
 	}
 }
@@ -279,6 +325,59 @@ func BenchmarkTag64(b *testing.B) {
 		}
 	}
 }
+
+// benchmarkVerify pairs naive and canceling verification (§5.5's "can be
+// improved" remark): Θ(P) key reconstructions per element against Θ(1).
+func benchmarkVerify(b *testing.B, p int, naive bool) {
+	v, err := New(ring.MersennePrime61, 424242)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 256
+	states := genStates(b, p)
+	starting := make([]uint64, p)
+	for i, st := range states {
+		starting[i] = st.SelfKey
+	}
+	var cT, sigmaT []uint64
+	for i := 0; i < p; i++ {
+		states[i].Advance()
+		cipher := make([]uint64, n)
+		tags := make([]uint64, n)
+		if naive {
+			err = tagNaive(v, states[i], cipher, tags)
+		} else {
+			err = v.Tag(states[i], cipher, tags)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cT == nil {
+			cT = append([]uint64(nil), cipher...)
+			sigmaT = append([]uint64(nil), tags...)
+		} else {
+			for j := range cT {
+				cT[j] += cipher[j]
+			}
+			v.Aggregate(sigmaT, tags)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var bad int
+		if naive {
+			bad = verifyNaive(v, states[0], starting, cT, sigmaT, p)
+		} else {
+			bad = v.Verify(states[0], cT, sigmaT, p)
+		}
+		if bad != -1 {
+			b.Fatalf("verification failed at %d", bad)
+		}
+	}
+}
+
+func BenchmarkVerifyCancelingP16(b *testing.B) { benchmarkVerify(b, 16, false) }
+func BenchmarkVerifyNaiveP16(b *testing.B)     { benchmarkVerify(b, 16, true) }
 
 func BenchmarkTagBig128(b *testing.B) {
 	bg, err := NewBig(128)

@@ -193,17 +193,6 @@ func (s *RankState) Advance() {
 	s.epoch++
 }
 
-// PeekAdvance returns the collective key and epoch the next Advance call
-// will install, without mutating the schedule. Because the progression is
-// deterministic (k_c ← F_{k_p}(k_c)), the nonces of collective t+1 are
-// fully determined the moment collective t begins — the property the noise
-// prefetcher (internal/noise) uses to generate next-epoch keystream while
-// the current collective is still in flight. Like Advance, it requires a
-// progression PRF (states from NewManual with a nil prog cannot peek).
-func (s *RankState) PeekAdvance() (collective, epoch uint64) {
-	return s.prog.Uint64(s.collective, 0), s.epoch + 1
-}
-
 // Epoch counts the Advance calls applied so far. Because every rank starts
 // from the same k_c and k_p, two states agree on k_c exactly when they
 // agree on the epoch — which makes the counter a safe-to-share coherence

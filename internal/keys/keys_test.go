@@ -97,33 +97,6 @@ func TestAdvanceKeepsRanksInLockstep(t *testing.T) {
 	}
 }
 
-// TestPeekAdvanceIsSideEffectFree pins the prefetcher's contract: peeking
-// predicts exactly what the next Advance installs, any number of times,
-// without moving the schedule.
-func TestPeekAdvanceIsSideEffectFree(t *testing.T) {
-	states, err := Generate(3, Config{Rand: &seqReader{next: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range states {
-		for round := 0; round < 4; round++ {
-			kcBefore, epochBefore := st.Collective(), st.Epoch()
-			peekKC, peekEpoch := st.PeekAdvance()
-			if kc2, e2 := st.PeekAdvance(); kc2 != peekKC || e2 != peekEpoch {
-				t.Fatalf("rank %d round %d: PeekAdvance not idempotent", st.Rank, round)
-			}
-			if st.Collective() != kcBefore || st.Epoch() != epochBefore {
-				t.Fatalf("rank %d round %d: PeekAdvance mutated the schedule", st.Rank, round)
-			}
-			st.Advance()
-			if st.Collective() != peekKC || st.Epoch() != peekEpoch {
-				t.Fatalf("rank %d round %d: Advance gave (kc=%d, epoch=%d), peek predicted (%d, %d)",
-					st.Rank, round, st.Collective(), st.Epoch(), peekKC, peekEpoch)
-			}
-		}
-	}
-}
-
 func TestAdvanceIsNonRepeatingShortTerm(t *testing.T) {
 	states, err := Generate(1, Config{Rand: &seqReader{}})
 	if err != nil {

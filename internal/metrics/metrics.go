@@ -1,13 +1,13 @@
 // Package metrics is HEAR's unified telemetry registry: named counters,
 // gauges, and fixed-bucket histograms shared by every long-lived surface
 // of the stack — the allreduce data paths, the verified-retry ladder, the
-// cipher-engine worker pool, the noise prefetcher, the chaos layer, and
-// the aggregation gateway. The paper's evaluation attributes wall time to
-// phases for one-shot benchmarks (internal/trace); this package is the
-// live, exportable counterpart a service needs (the operational-visibility
+// cipher-engine worker pool, the chaos layer, and the aggregation
+// gateway. The paper's evaluation attributes wall time to phases for
+// one-shot benchmarks (internal/trace); this package is the live,
+// exportable counterpart a service needs (the operational-visibility
 // lesson of SHArP-scale collective deployments): one namespace, scraped at
 // runtime, with identical counter semantics whether the reader is a
-// Prometheus scrape, a STATS frame, or a BENCH_*.json artifact.
+// Prometheus scrape, a STATS frame, or a benchmark report.
 //
 // Design constraints, in order:
 //
@@ -25,7 +25,7 @@
 //     operator left telemetry off.
 //
 // Existing stats that already live elsewhere (trace breakdowns,
-// mempool/prefetcher counters, gateway round totals) publish through
+// mempool counters, gateway round totals) publish through
 // RegisterSource: a callback run at snapshot time that emits samples into
 // the same namespace instead of double-counting into new instruments.
 package metrics
@@ -342,7 +342,7 @@ func (r *Registry) Gather() []Sample {
 
 // Map flattens a snapshot into "name{labels}" → value: counters and
 // gauges map to their reading, histograms to _count and _sum entries.
-// The flat form is what STATS-style dumps and BENCH_*.json embed.
+// The flat form is what STATS-style dumps and benchmark reports embed.
 func (r *Registry) Map() map[string]float64 {
 	samples := r.Gather()
 	if samples == nil {

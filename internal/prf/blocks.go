@@ -42,23 +42,6 @@ const sourceBufBytes = 16 * BlockBytes
 // setup cost more than they save.
 const ctrCutoff = BlockBytes
 
-// SpanCache is implemented by caching PRF wrappers — the noise
-// prefetcher's cache-backed PRF (internal/noise) — that may hold
-// pre-generated keystream planes. Fused kernels probe it to split a span
-// into a cached prefix, which they read through Keystream (the wrapper's
-// hit-accounted copy path), and a tail they generate block-by-block
-// directly on the Generator backend.
-type SpanCache interface {
-	PRF
-	// CachedSpan reports the length in bytes of the longest currently
-	// cached prefix of span [off, off+n) of stream nonce, and accounts the
-	// remainder as cache misses (the caller generates it on Generator's
-	// stream, bypassing the wrapper).
-	CachedSpan(nonce, off uint64, n int) int
-	// Generator returns the live backend PRF the cache falls through to.
-	Generator() PRF
-}
-
 // blockAtter is the 16-byte random-access block form the AES, SHA1, and
 // xorshift backends implement. BlockSource stores the receiver behind this
 // interface instead of binding a method closure, which keeps Init
@@ -71,8 +54,9 @@ type blockAtter interface {
 type sourceKind uint8
 
 const (
-	// kindGeneric refills through the backend's own Keystream — correct
-	// for any PRF; used for wrappers and backends with no faster path.
+	// kindGeneric refills through the PRF's own Keystream — correct for
+	// any PRF; the fallback for implementations outside this package.
+	// Every backend New constructs gets a specialised kind below.
 	kindGeneric sourceKind = iota
 	// kindBlockFn refills through a 16-byte blockFunc — the scalar AES,
 	// SHA1, and xorshift backends, and small AES-fast spans.

@@ -68,6 +68,27 @@ func TestKeystreamBlocksMatchesKeystream(t *testing.T) {
 	}
 }
 
+// Backend → BlockSource, nothing in between: every backend New hands out
+// gets a refill specialised to it, at a span below and above ctrCutoff.
+// kindGeneric is only for PRFs this package did not construct; a stream
+// consumer given a State's Enc must never land on it.
+func TestBlockSourceInitSpecialisesEveryBackend(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	for _, name := range []string{BackendAESFast, BackendAESScalar, BackendSHA1, BackendChaCha20, BackendXorshift} {
+		p, err := New(name, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range []int{64, 64 << 10} {
+			var bs BlockSource
+			bs.Init(p, 7, 0, span)
+			if bs.kind == kindGeneric {
+				t.Errorf("%s: %d-byte span refills through the generic Keystream path", name, span)
+			}
+		}
+	}
+}
+
 // Reading past the declared total must continue the stream correctly (the
 // budget only sizes generation, it is not a hard stop).
 func TestBlockSourcePastTotal(t *testing.T) {

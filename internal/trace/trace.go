@@ -29,13 +29,10 @@ var PhaseOrder = []string{PhaseMemAlloc, PhaseEncrypt, PhaseComm, PhaseDecrypt, 
 // Xeon E5-2695 v4 runs at 2.10 GHz).
 const NominalGHz = 2.10
 
-// Breakdown accumulates per-phase durations over many iterations, plus
-// byte counters for phases that measure volume rather than time (the
-// noise prefetcher's hit/miss accounting).
+// Breakdown accumulates per-phase durations over many iterations.
 type Breakdown struct {
 	totals map[string]time.Duration
 	counts map[string]int
-	bytes  map[string]int64
 	// KeepSamples retains every duration so Median is available — the
 	// robust statistic for noisy (virtualized, time-shared) hosts where a
 	// single multi-second stall would poison a mean.
@@ -48,7 +45,6 @@ func NewBreakdown() *Breakdown {
 	return &Breakdown{
 		totals:  map[string]time.Duration{},
 		counts:  map[string]int{},
-		bytes:   map[string]int64{},
 		samples: map[string][]time.Duration{},
 	}
 }
@@ -77,27 +73,6 @@ func (b *Breakdown) AddDuration(phase string, d time.Duration) {
 	if b.KeepSamples {
 		b.samples[phase] = append(b.samples[phase], d)
 	}
-}
-
-// AddBytes records n bytes under a phase. Byte phases live beside the
-// duration phases of one accumulator so a volume metric renders next to
-// the critical-path time it explains; they do not appear in Phases or the
-// duration statistics.
-func (b *Breakdown) AddBytes(phase string, n int64) {
-	b.bytes[phase] += n
-}
-
-// Bytes returns the accumulated byte counter of a phase.
-func (b *Breakdown) Bytes(phase string) int64 { return b.bytes[phase] }
-
-// BytePhases lists phases with byte counters, sorted.
-func (b *Breakdown) BytePhases() []string {
-	var out []string
-	for p := range b.bytes {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Median returns the median duration of a phase. It requires KeepSamples;
@@ -252,13 +227,6 @@ func (s *SyncBreakdown) AddDuration(phase string, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// AddBytes records a byte count under a phase.
-func (s *SyncBreakdown) AddBytes(phase string, n int64) {
-	s.mu.Lock()
-	s.b.AddBytes(phase, n)
-	s.mu.Unlock()
-}
-
 // Start begins timing a phase; call the returned stop function to record.
 // The returned closure allocates — hot loops that must stay allocation-free
 // use StartTimer instead.
@@ -310,9 +278,6 @@ func (s *SyncBreakdown) Snapshot() *Breakdown {
 	}
 	for p, n := range s.b.counts {
 		c.counts[p] = n
-	}
-	for p, n := range s.b.bytes {
-		c.bytes[p] = n
 	}
 	c.KeepSamples = s.b.KeepSamples
 	for p, samples := range s.b.samples {

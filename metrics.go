@@ -54,10 +54,10 @@ func newCtxMetrics(r *metrics.Registry) *ctxMetrics {
 }
 
 // registerTelemetry publishes the externally owned stats of one
-// communicator — the cipher engine's shard phases, each context's noise
-// prefetcher and pipeline mempool — as a snapshot-time Source, so the
-// subsystems keep their own accounting and the registry reads it on
-// Gather instead of double-counting. A nil registry is a no-op.
+// communicator — the cipher engine's shard phases and each context's
+// pipeline mempool — as a snapshot-time Source, so the subsystems keep
+// their own accounting and the registry reads it on Gather instead of
+// double-counting. A nil registry is a no-op.
 func registerTelemetry(r *metrics.Registry, eng *engine.Engine, ctxs []*Context) {
 	if r == nil {
 		return
@@ -73,26 +73,12 @@ func registerTelemetry(r *metrics.Registry, eng *engine.Engine, ctxs []*Context)
 			emit(metrics.Sample{Name: "hear_engine_phase_ops_total", Labels: labels,
 				Kind: metrics.KindCounter, Value: float64(phases.Count(p))})
 		}
-		for _, p := range phases.BytePhases() {
-			emit(metrics.Sample{Name: "hear_engine_phase_bytes_total",
-				Labels: metrics.Labels{"phase": p},
-				Kind:   metrics.KindCounter, Value: float64(phases.Bytes(p))})
-		}
 
-		// Noise and mempool counters summed across the world's contexts:
-		// the registry namespace is per communicator, like the engine.
-		var hit, miss, gen, planes, recycled uint64
+		// Mempool counters summed across the world's contexts: the
+		// registry namespace is per communicator, like the engine.
 		var poolHits, poolMisses, poolWaits uint64
 		var poolAllocated int
 		for _, c := range ctxs {
-			if c.prefetch != nil {
-				s := c.prefetch.Stats()
-				hit += s.HitBytes
-				miss += s.MissBytes
-				gen += s.GenBytes
-				planes += s.GenPlanes
-				recycled += s.RecycledPlanes
-			}
 			if c.pool != nil {
 				h, m, a := c.pool.Stats()
 				poolHits += h
@@ -104,11 +90,6 @@ func registerTelemetry(r *metrics.Registry, eng *engine.Engine, ctxs []*Context)
 		counter := func(name string, v uint64) {
 			emit(metrics.Sample{Name: name, Kind: metrics.KindCounter, Value: float64(v)})
 		}
-		counter("hear_noise_prefetch_hit_bytes_total", hit)
-		counter("hear_noise_prefetch_miss_bytes_total", miss)
-		counter("hear_noise_prefetch_gen_bytes_total", gen)
-		counter("hear_noise_prefetch_gen_planes_total", planes)
-		counter("hear_noise_prefetch_recycled_planes_total", recycled)
 		counter("hear_mempool_hits_total", poolHits)
 		counter("hear_mempool_misses_total", poolMisses)
 		counter("hear_mempool_waits_total", poolWaits)

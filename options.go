@@ -21,22 +21,19 @@ func (e *OptionError) Error() string {
 
 // validate rejects option values that would otherwise be silently
 // misinterpreted deeper in the stack: a negative worker count reads as
-// "serial" to the pool, a negative prefetch budget as "disabled", a
-// negative retry bound as "no retries", a negative timeout as "no
-// deadline" — all plausible-looking configs that mask a sign bug at the
-// call site. Zero stays the documented default for every field. The
-// insecure xorshift PRF is refused outright: it exists for the Figure 5
-// lower bound, which hearbench builds through keys.Config, never for a
-// context a caller could mistake for an encrypted one.
+// "serial" to the pool, a negative retry bound as "no retries", a
+// negative timeout as "no deadline" — all plausible-looking configs that
+// mask a sign bug at the call site. Zero stays the documented default for
+// every field. The insecure xorshift PRF is refused outright: it exists
+// for the Figure 5 lower bound, which hearbench builds through
+// keys.Config, never for a context a caller could mistake for an
+// encrypted one.
 func (o *Options) validate() error {
 	if o.PipelineBlockBytes < 0 {
 		return &OptionError{Field: "PipelineBlockBytes", Value: o.PipelineBlockBytes}
 	}
 	if o.Workers < 0 {
 		return &OptionError{Field: "Workers", Value: o.Workers}
-	}
-	if o.NoisePrefetch < 0 {
-		return &OptionError{Field: "NoisePrefetch", Value: o.NoisePrefetch}
 	}
 	if o.VerifiedRetry < 0 {
 		return &OptionError{Field: "VerifiedRetry", Value: o.VerifiedRetry}

@@ -2,9 +2,11 @@ package hear
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"hear/internal/keys"
 	"hear/internal/mpi"
 	"hear/internal/prf"
 )
@@ -20,7 +22,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"PipelineBlockBytes", Options{PipelineBlockBytes: -1}},
 		{"Workers", Options{Workers: -1}},
-		{"NoisePrefetch", Options{NoisePrefetch: -4096}},
 		{"VerifiedRetry", Options{VerifiedRetry: -2}},
 		{"RecvTimeout", Options{RecvTimeout: -time.Second}},
 		{"PRFBackend", Options{PRFBackend: prf.BackendXorshift}},
@@ -66,5 +67,24 @@ func TestOptionsZeroValuesStillDefault(t *testing.T) {
 	w := mpi.NewWorld(2)
 	if _, err := Init(w, Options{}); err != nil {
 		t.Fatalf("zero Options rejected: %v", err)
+	}
+}
+
+// TestInitInstallsConcreteBackend pins that nothing sits between a rank's
+// key state and its PRF: under every backend Options accepts, st.Enc is
+// the very type prf.New returns, so prf.BlockSource always picks that
+// backend's specialised refill.
+func TestInitInstallsConcreteBackend(t *testing.T) {
+	for _, name := range []string{prf.BackendAESFast, prf.BackendAESScalar, prf.BackendSHA1, prf.BackendChaCha20} {
+		want, err := prf.New(name, make([]byte, keys.KeyBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ctxs := initWorld(t, 2, Options{PRFBackend: name})
+		for _, ctx := range ctxs {
+			if got := reflect.TypeOf(ctx.st.Enc); got != reflect.TypeOf(want) {
+				t.Errorf("%s rank %d: st.Enc is %v, want %v", name, ctx.rank, got, reflect.TypeOf(want))
+			}
+		}
 	}
 }
