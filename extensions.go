@@ -322,42 +322,110 @@ func (g *GatewaySealer) Tagged() bool { return g.verifier != nil }
 // token (never key material) the gateway client advertises in HELLO.
 func (g *GatewaySealer) Epoch() uint64 { return g.ctx.st.Epoch() }
 
+// maxSealEpochLead bounds how far one Seal may advance the key schedule:
+// 65,536 missed rounds, ≈ 5 ms of catch-up. The epoch comes off the wire —
+// from an untrusted gateway, or from any one participant through the
+// max-of-HELLOs rule — and no connection deadline can interrupt the
+// catch-up loop, so an unbounded lead would let a hostile peer pin a core.
+const maxSealEpochLead = 1 << 16
+
 // Seal advances the collective key to the given epoch (0 means "advance
 // exactly once") and encrypts vals under the sealer's scheme, returning
 // the ciphertext lane and, when verification is enabled, the HoMAC tag
 // lane (both little-endian 64-bit lanes). Sealing at an epoch at or below
 // the current one is refused: the key schedule only moves forward, and a
-// regression would reuse PRF streams.
+// regression would reuse PRF streams. An epoch more than maxSealEpochLead
+// ahead is refused too, before the key moves at all.
 func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, err error) {
 	s, err := g.ctx.Scheme(g.kind)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := len(vals)
-	if epoch == 0 {
-		g.ctx.st.Advance()
-	} else {
-		if epoch <= g.ctx.st.Epoch() {
-			return nil, nil, fmt.Errorf("hear: seal epoch %d not ahead of current epoch %d", epoch, g.ctx.st.Epoch())
-		}
-		for g.ctx.st.Epoch() < epoch {
-			g.ctx.st.Advance()
+	st := g.ctx.st
+	switch cur := st.Epoch(); {
+	case epoch == 0:
+		st.Advance()
+	case epoch <= cur:
+		return nil, nil, fmt.Errorf("hear: seal epoch %d not ahead of current epoch %d", epoch, cur)
+	case epoch-cur > maxSealEpochLead:
+		return nil, nil, fmt.Errorf("hear: seal epoch %d is %d ahead of current epoch %d (limit %d)",
+			epoch, epoch-cur, cur, maxSealEpochLead)
+	default:
+		for st.Epoch() < epoch {
+			st.Advance()
 		}
 	}
-	cipher = make([]byte, n*8)
-	if err := s.Encrypt(g.ctx.st, marshal64(vals), cipher, n); err != nil {
+	cipher, tags, err = g.ctx.sealLanes(s, g.verifier, vals)
+	if err != nil {
 		return nil, nil, err
 	}
 	g.ctx.mx.sealOps.Inc()
-	if g.verifier == nil {
+	return cipher, tags, nil
+}
+
+// Verify checks a reduced (ciphertext, tag) lane pair against this rank's
+// keys before the aggregate is trusted. With verification disabled it is a
+// no-op; with it enabled, missing tags are an error — a gateway must not be
+// able to strip verification.
+func (g *GatewaySealer) Verify(reducedCipher, reducedTags []byte) error {
+	return g.verify(reducedCipher, reducedTags, nil, g.ctx.size)
+}
+
+// verify runs verifyLanes and counts a HoMAC mismatch.
+func (g *GatewaySealer) verify(reducedCipher, reducedTags []byte, missing []int, wraps int) error {
+	err := g.ctx.verifyLanes(g.verifier, reducedCipher, reducedTags, missing, wraps)
+	if _, mismatch := err.(*ErrVerificationFailed); mismatch { // returned bare by verifyLanes
+		g.ctx.mx.verifyFailures.Inc()
+	}
+	return err
+}
+
+// Open decrypts a reduced ciphertext lane into out. It must pair the most
+// recent Seal call (decryption uses the collective key that call advanced
+// to), exactly as Allreduce decryption follows its own encryption.
+func (g *GatewaySealer) Open(reduced []byte, out []int64) error {
+	return g.open(reduced, out, nil)
+}
+
+func (g *GatewaySealer) open(reduced []byte, out []int64, missing []int) error {
+	s, err := g.ctx.Scheme(g.kind)
+	if err != nil {
+		return err
+	}
+	if err := g.ctx.openLanes(s, reduced, out, missing); err != nil {
+		return err
+	}
+	g.ctx.mx.openOps.Inc()
+	return nil
+}
+
+// The three helpers below are the key side of one verified round — seal,
+// verify, open over little-endian 64-bit lanes — shared by GatewaySealer
+// and the in-process verified allreduce (verifiedAttempt), so the lane
+// conversion exists once.
+
+// lanes64 views a little-endian byte lane as words.
+func lanes64(b []byte) []uint64 {
+	w := make([]uint64, len(b)/8)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(b[i*8:])
+	}
+	return w
+}
+
+// sealLanes encrypts vals under s at the current key epoch and, with a
+// verifier, tags the ciphertext.
+func (c *Context) sealLanes(s core.Scheme, verifier *homac.Vector, vals []int64) (cipher, tags []byte, err error) {
+	n := len(vals)
+	cipher = make([]byte, n*8)
+	if err := s.Encrypt(c.st, marshal64(vals), cipher, n); err != nil {
+		return nil, nil, err
+	}
+	if verifier == nil {
 		return cipher, nil, nil
 	}
-	lanes := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-	}
 	sigma := make([]uint64, n)
-	if err := g.verifier.Tag(g.ctx.st, lanes, sigma); err != nil {
+	if err := verifier.Tag(c.st, lanes64(cipher), sigma); err != nil {
 		return nil, nil, err
 	}
 	tags = make([]byte, n*8)
@@ -367,48 +435,51 @@ func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, e
 	return cipher, tags, nil
 }
 
-// Verify checks a reduced (ciphertext, tag) lane pair against this rank's
-// keys before the aggregate is trusted. With verification disabled it is a
-// no-op; with it enabled, missing tags are an error — a gateway must not be
-// able to strip verification.
-func (g *GatewaySealer) Verify(reducedCipher, reducedTags []byte) error {
-	if g.verifier == nil {
+// verifyLanes checks a reduced (ciphertext, tag) lane pair; missing lists
+// the ranks absent from a degraded aggregate (nil = complete) and wraps
+// bounds the data lane's 2^64 wraps (the contributor count). A nil verifier
+// accepts anything.
+func (c *Context) verifyLanes(verifier *homac.Vector, cipher, tags []byte, missing []int, wraps int) error {
+	if verifier == nil {
 		return nil
 	}
-	n := len(reducedCipher) / 8
-	if len(reducedTags) < n*8 {
-		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(reducedTags), n)
+	n := len(cipher) / 8
+	if len(tags) < n*8 {
+		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(tags), n)
 	}
-	lanes := make([]uint64, n)
-	sigma := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(reducedCipher[i*8:])
-		sigma[i] = binary.LittleEndian.Uint64(reducedTags[i*8:])
+	bad, err := verifier.VerifySubset(c.st, missing, lanes64(cipher), lanes64(tags[:n*8]), wraps)
+	if err != nil {
+		return err
 	}
-	if bad := g.verifier.Verify(g.ctx.st, lanes, sigma, g.ctx.size); bad >= 0 {
-		g.ctx.mx.verifyFailures.Inc()
+	if bad >= 0 {
 		return &ErrVerificationFailed{Element: bad}
 	}
 	return nil
 }
 
-// Open decrypts a reduced ciphertext lane into out. It must pair the most
-// recent Seal call (decryption uses the collective key that call advanced
-// to), exactly as Allreduce decryption follows its own encryption.
-func (g *GatewaySealer) Open(reduced []byte, out []int64) error {
-	s, err := g.ctx.Scheme(g.kind)
-	if err != nil {
-		return err
-	}
+// openLanes decrypts a reduced ciphertext lane into out. With missing
+// ranks, their noise is first folded back into a scratch copy
+// (core.SubsetCanceler), after which the scheme's standard decrypt applies.
+func (c *Context) openLanes(s core.Scheme, reduced []byte, out []int64, missing []int) error {
 	n := len(reduced) / 8
 	if len(out) < n {
 		return fmt.Errorf("hear: out %d < %d elements", len(out), n)
 	}
 	buf := make([]byte, n*8)
-	if err := s.Decrypt(g.ctx.st, reduced, buf, n); err != nil {
+	if len(missing) > 0 {
+		sc, ok := s.(core.SubsetCanceler)
+		if !ok {
+			return fmt.Errorf("hear: scheme %s cannot cancel subset noise", s.Name())
+		}
+		copy(buf, reduced)
+		if err := sc.FoldMissingNoise(c.st, buf, n, missing); err != nil {
+			return err
+		}
+		reduced = buf
+	}
+	if err := s.Decrypt(c.st, reduced, buf, n); err != nil {
 		return err
 	}
-	g.ctx.mx.openOps.Inc()
 	unmarshal64(buf, out[:n])
 	return nil
 }
@@ -488,61 +559,17 @@ func (g *GatewaySealer) VerifySurvivors(reducedCipher, reducedTags []byte, survi
 	if err != nil {
 		return err
 	}
-	n := len(reducedCipher) / 8
-	if len(reducedTags) < n*8 {
-		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(reducedTags), n)
-	}
-	lanes := make([]uint64, n)
-	sigma := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(reducedCipher[i*8:])
-		sigma[i] = binary.LittleEndian.Uint64(reducedTags[i*8:])
-	}
-	bad, err := g.verifier.VerifySubset(g.ctx.st, missing, lanes, sigma, len(survivors))
-	if err != nil {
-		return err
-	}
-	if bad >= 0 {
-		g.ctx.mx.verifyFailures.Inc()
-		return &ErrVerificationFailed{Element: bad}
-	}
-	return nil
+	return g.verify(reducedCipher, reducedTags, missing, len(survivors))
 }
 
-// OpenSurvivors decrypts a degraded round's reduced ciphertext lane: the
-// missing ranks' noise is folded back into a scratch copy
-// (core.SubsetCanceler), after which the scheme's standard decrypt applies.
-// The result is bit-identical to a fresh flat round run over only the
-// survivors. A full survivor set degenerates to Open.
+// OpenSurvivors decrypts a degraded round's reduced ciphertext lane with
+// the missing ranks' noise canceled. The result is bit-identical to a fresh
+// flat round run over only the survivors. A full survivor set degenerates
+// to Open.
 func (g *GatewaySealer) OpenSurvivors(reduced []byte, out []int64, survivors []int) error {
 	missing, err := g.missingFromSurvivors(survivors)
 	if err != nil {
 		return err
 	}
-	if len(missing) == 0 {
-		return g.Open(reduced, out)
-	}
-	s, err := g.ctx.Scheme(g.kind)
-	if err != nil {
-		return err
-	}
-	sc, ok := s.(core.SubsetCanceler)
-	if !ok {
-		return fmt.Errorf("hear: scheme %s cannot cancel subset noise", g.kind)
-	}
-	n := len(reduced) / 8
-	if len(out) < n {
-		return fmt.Errorf("hear: out %d < %d elements", len(out), n)
-	}
-	work := make([]byte, n*8)
-	copy(work, reduced)
-	if err := sc.FoldMissingNoise(g.ctx.st, work, n, missing); err != nil {
-		return err
-	}
-	if err := s.Decrypt(g.ctx.st, work, work, n); err != nil {
-		return err
-	}
-	g.ctx.mx.openOps.Inc()
-	unmarshal64(work, out[:n])
-	return nil
+	return g.open(reduced, out, missing)
 }

@@ -1,7 +1,9 @@
 package hear
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"hear/internal/core/fold"
 	"hear/internal/mpi"
@@ -154,5 +156,50 @@ func TestGatewaySealerUnverified(t *testing.T) {
 	}
 	if got[0] != 3 || got[1] != 1 {
 		t.Errorf("aggregate = %v, want [3 1]", got)
+	}
+}
+
+// TestSealRefusesRunawayEpoch: the seal epoch is named by bytes off the
+// wire, and the catch-up loop cannot be interrupted by any deadline — so an
+// epoch further ahead than maxSealEpochLead is refused before the key moves,
+// in bounded time, and the sealer stays usable at its own epoch.
+func TestSealRefusesRunawayEpoch(t *testing.T) {
+	w := mpi.NewWorld(2)
+	ctxs, err := Init(w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := ctxs[0].NewGatewaySealer(nil), ctxs[1].NewGatewaySealer(nil)
+	cur := a.Epoch()
+	for _, epoch := range []uint64{math.MaxUint64, cur + maxSealEpochLead + 1} {
+		start := time.Now()
+		if _, _, err := a.Seal([]int64{1}, epoch); err == nil {
+			t.Errorf("Seal accepted epoch %d from epoch %d", epoch, cur)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("refusing epoch %d took %v", epoch, d)
+		}
+		if got := a.Epoch(); got != cur {
+			t.Fatalf("refused Seal moved the epoch %d -> %d", cur, got)
+		}
+	}
+	// The lead itself is legal, and the schedule carries on from there.
+	for _, epoch := range []uint64{cur + maxSealEpochLead, 0} {
+		ca, _, err := a.Seal([]int64{10, -4}, epoch)
+		if err != nil {
+			t.Fatalf("Seal at epoch %d from %d: %v", epoch, cur, err)
+		}
+		cb, _, err := b.Seal([]int64{-7, 5}, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold.SumUint64(ca, cb)
+		got := make([]int64, 2)
+		if err := a.Open(ca, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 3 || got[1] != 1 {
+			t.Errorf("aggregate after epoch %d = %v, want [3 1]", epoch, got)
+		}
 	}
 }

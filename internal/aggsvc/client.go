@@ -46,34 +46,23 @@ type SchemeIDer interface {
 // open a *partial* aggregate — one reduced over an explicit survivor subset
 // of the group, with the missing ranks' noise re-derived and canceled
 // (hear.GatewaySealer under shared-group keys). A client whose sealer
-// accepts degraded results speaks protocol v2: its HELLO carries its rank
-// and FlagDegradedOK, and a survivor-set RESULT routes through
-// VerifySurvivors/OpenSurvivors instead of Verify/Open. survivors is the
-// wire-order global rank set the RESULT declared — passed as the surviving
-// set (not the missing one) because a key-blind relay cannot know the group
-// size needed to complement it.
+// accepts degraded results says so in HELLO (its rank and FlagDegradedOK),
+// and a survivor-set RESULT routes through VerifySurvivors/OpenSurvivors
+// instead of Verify/Open. survivors is the wire-order global rank set the
+// RESULT declared — passed as the surviving set (not the missing one)
+// because a key-blind relay cannot know the group size needed to complement
+// it.
 type DegradedSealer interface {
-	// RankID is this sealer's key-schedule rank, or -1 when it has none (a
-	// federation relay aggregating other ranks' inputs).
+	// RankID is this sealer's key-schedule rank.
 	RankID() int
 	// AcceptsDegraded reports whether the sealer can actually cancel
-	// missing-rank noise; false keeps the client on protocol v1.
+	// missing-rank noise; false keeps FlagDegradedOK (and the rank) out of
+	// HELLO, so the gateway never routes a partial aggregate here.
 	AcceptsDegraded() bool
 	// VerifySurvivors checks the reduced lanes against the survivor set.
 	VerifySurvivors(reducedCipher, reducedTags []byte, survivors []int) error
 	// OpenSurvivors decrypts the partial aggregate over the survivor set.
 	OpenSurvivors(reduced []byte, out []int64, survivors []int) error
-}
-
-// CoverageReporter is optionally implemented by Sealers whose single
-// submission stands in for several participants' inputs — a federation
-// leaf relaying its cohort's fold upstream. After Seal, the client forwards
-// the reported rank coverage in a SURVIVORS frame so the upstream tier can
-// name the global survivor union if its round degrades. complete=false
-// declares the coverage itself partial (the leaf's own cohort degraded);
-// ok=false means coverage cannot be expressed and nothing is sent.
-type CoverageReporter interface {
-	Coverage() (ranks []uint32, complete bool, ok bool)
 }
 
 // ClientOptions tunes a gateway client.
@@ -83,13 +72,11 @@ type ClientOptions struct {
 	// ChunkBytes, when non-zero, caps the SUBMIT chunk below the size the
 	// gateway advertises in JOIN.
 	ChunkBytes int
-	// Timeout bounds one whole round attempt (0 = no deadline). Without it
-	// a dead gateway blocks the client forever.
+	// Timeout bounds one whole Aggregate attempt, and connection
+	// establishment in Dial and its reconnects (0 = no deadline). Without
+	// it a dead gateway blocks the client forever. Join and Exchange arm no
+	// deadline of their own; a lane-level caller sets one on its connection.
 	Timeout time.Duration
-	// DialTimeout bounds connection establishment — Dial and every
-	// reconnect. Zero falls back to Timeout; both zero means unbounded
-	// (the pre-timeout behavior, kept only for explicit opt-out).
-	DialTimeout time.Duration
 	// Dialer, when non-nil, produces the connections this client uses —
 	// both the retry path's reconnects and (for Dial) the initial one.
 	// Retry requires it: a failed round always redials on a fresh
@@ -104,13 +91,12 @@ type ClientOptions struct {
 	// previous attempt died, the next round's participants all seal at
 	// one epoch.
 	Retry int
-	// RetryBackoff is the sleep before the first re-attempt, doubling per
-	// attempt up to RetryBackoffMax (defaults 50ms and 2s), with ±25%
-	// deterministic jitter derived from JitterSeed so a thundering herd of
-	// identically-configured clients still spreads out.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	JitterSeed      int64
+	// RetryBackoff is the sleep before the first re-attempt (default 50ms),
+	// doubling per attempt up to 2s, with ±25% deterministic jitter derived
+	// from JitterSeed so a thundering herd of identically-configured clients
+	// still spreads out (see Backoff).
+	RetryBackoff time.Duration
+	JitterSeed   int64
 	// ReadBufPool, when non-nil, is a *sync.Pool of []byte the client draws
 	// its reusable frame read buffer from and returns on Close. Fleets of
 	// clients in one process (cmd/hearagg's load generator, the federation
@@ -123,59 +109,47 @@ func (o *ClientOptions) fill() {
 	if o.MaxFrameBytes <= 0 {
 		o.MaxFrameBytes = DefaultMaxFrameBytes
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 2 * time.Second
-	}
 }
 
 // Client drives gateway rounds. It is not safe for concurrent use — like
 // a Context, it belongs to one participant.
 type Client struct {
-	conn    net.Conn // nil when a failed attempt consumed the connection
-	sealer  Sealer
-	opt     ClientOptions
-	attempt uint64 // lifetime retry counter, feeds the jitter hash
+	conn   net.Conn // nil when a failed attempt consumed the connection
+	sealer Sealer
+	opt    ClientOptions
+	bo     Backoff // retry delays; its lifetime counter feeds the jitter hash
 	// rbuf is the reusable frame read buffer: readFrameReuse grows it to
 	// the largest frame seen (bounded by MaxFrameBytes) and every later
 	// frame lands in it without allocating. Frames returned to callers
-	// alias rbuf and are valid only until the next read — aggregateOnce
-	// fully consumes each frame before reading the next, and Sealer.Verify
-	// implementations that retain lanes (the federation cascade) copy.
+	// alias rbuf and are valid only until the next read — Aggregate fully
+	// consumes each frame before reading the next, and an Exchange caller
+	// that retains the reduced lanes (the federation relay) copies.
 	rbuf []byte
 }
 
 // NewClient wraps an established connection (TCP, net.Pipe, ...). Set
-// ClientOptions.Dialer to enable reconnect-and-retry.
+// ClientOptions.Dialer to enable reconnect-and-retry. sealer may be nil for
+// a lane-level client that only calls Join and Exchange — a key-blind relay
+// has nothing to seal with.
 func NewClient(conn net.Conn, sealer Sealer, opt ClientOptions) *Client {
 	opt.fill()
-	return &Client{conn: conn, sealer: sealer, opt: opt}
+	return &Client{conn: conn, sealer: sealer, opt: opt, bo: Backoff{Base: opt.RetryBackoff, Seed: opt.JitterSeed}}
 }
 
-// Dial connects to a gateway over TCP, bounded by DialTimeout (falling
-// back to Timeout). Unless a custom Dialer is given, reconnects reuse the
-// same bounded TCP dialer.
+// Dial connects to a gateway over TCP, bounded by Timeout. Unless a custom
+// Dialer is given, reconnects reuse the same bounded TCP dialer.
 func Dial(addr string, sealer Sealer, opt ClientOptions) (*Client, error) {
-	opt.fill()
 	if opt.Dialer == nil {
 		opt.Dialer = func() (net.Conn, error) {
-			d := opt.DialTimeout
-			if d <= 0 {
-				d = opt.Timeout
-			}
-			if d > 0 {
-				return net.DialTimeout("tcp", addr, d)
-			}
-			return net.Dial("tcp", addr)
+			// A zero timeout means no bound, to net.DialTimeout as to us.
+			return net.DialTimeout("tcp", addr, opt.Timeout)
 		}
 	}
 	conn, err := opt.Dialer()
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, sealer: sealer, opt: opt}, nil
+	return NewClient(conn, sealer, opt), nil
 }
 
 // Round describes a completed aggregation round.
@@ -218,15 +192,15 @@ func retryable(err error) bool {
 	return false
 }
 
-// Aggregate runs one round: seal vals, HELLO/JOIN, stream the lanes,
-// await the reduced aggregate, verify it, and open it into out (len(out)
-// >= len(vals)). With Retry > 0 and a Dialer configured, retryable
-// failures — lost connections and the gateway's Deadline/PeerLost/
-// Straggler aborts — are retried on a fresh connection after exponential
-// backoff with jitter; each attempt re-seals, so the failed attempt's
-// ciphertext is never reused. Fatal failures (protocol violations,
-// verification failures) surface immediately; a gateway-side failure
-// surfaces as *AbortError.
+// Aggregate runs one round: Join (HELLO/JOIN), seal vals at the agreed
+// epoch, Exchange the lanes for the reduced aggregate, verify it, and open
+// it into out (len(out) >= len(vals)). With Retry > 0 and a Dialer
+// configured, retryable failures — lost connections and the gateway's
+// Deadline/PeerLost/Straggler aborts — are retried on a fresh connection
+// after exponential backoff with jitter; each attempt re-seals, so the
+// failed attempt's ciphertext is never reused. Fatal failures (protocol
+// violations, verification failures) surface immediately; a gateway-side
+// failure surfaces as *AbortError.
 func (c *Client) Aggregate(vals, out []int64) (Round, error) {
 	if len(out) < len(vals) {
 		return Round{}, fmt.Errorf("aggsvc: out %d < %d elements", len(out), len(vals))
@@ -234,7 +208,7 @@ func (c *Client) Aggregate(vals, out []int64) (Round, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.Retry; attempt++ {
 		if attempt > 0 {
-			c.sleepBackoff(attempt)
+			c.bo.Sleep(attempt)
 		}
 		if c.conn == nil {
 			if c.opt.Dialer == nil {
@@ -264,152 +238,209 @@ func (c *Client) Aggregate(vals, out []int64) (Round, error) {
 	return Round{}, &GiveUpError{Op: "round", Attempts: c.opt.Retry + 1, Last: lastErr}
 }
 
-// sleepBackoff sleeps the exponential backoff for the given attempt with
-// ±25% deterministic jitter (hash of JitterSeed and a lifetime counter).
-func (c *Client) sleepBackoff(attempt int) {
-	c.attempt++
-	time.Sleep(jitterDelay(c.opt.RetryBackoff, c.opt.RetryBackoffMax, c.opt.JitterSeed, c.attempt, attempt))
-}
-
-// aggregateOnce drives a single round attempt over the current connection.
+// aggregateOnce drives a single round attempt over the current connection:
+// the key-holding wrapper around the lane-level Join and Exchange.
 func (c *Client) aggregateOnce(vals, out []int64) (Round, error) {
 	start := time.Now()
 	if c.opt.Timeout > 0 {
 		c.conn.SetDeadline(start.Add(c.opt.Timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	var flags uint8
-	if c.sealer.Tagged() {
-		flags |= FlagTagged
-	}
-	scheme := SchemeInt64Sum
+	spec := RoundSpec{Scheme: SchemeInt64Sum, Elems: len(vals), Tagged: c.sealer.Tagged(),
+		Epoch: c.sealer.Epoch(), Rank: -1}
 	if sid, ok := c.sealer.(SchemeIDer); ok {
-		scheme = sid.SchemeID()
+		spec.Scheme = sid.SchemeID()
 	}
-	// Speak v2 only when the sealer can actually open a survivor-set
-	// RESULT; otherwise stay on the v1 wire image so a degraded-capable
-	// gateway never routes a partial aggregate here.
-	version, rank := ProtocolV1, -1
+	// Declare FlagDegradedOK only when the sealer can actually open a
+	// survivor-set RESULT, so a degraded-capable gateway never routes a
+	// partial aggregate here otherwise.
 	var degraded DegradedSealer
 	if d, ok := c.sealer.(DegradedSealer); ok && d.AcceptsDegraded() {
 		degraded = d
-		version = ProtocolVersion
-		rank = d.RankID()
-		flags |= FlagDegradedOK
+		spec.Rank = d.RankID()
+		spec.DegradedOK = true
 	}
-	hello := helloFrame{Version: version, Scheme: scheme, Flags: flags,
-		Elems: len(vals), Epoch: c.sealer.Epoch(), Rank: rank}
-	b := wireBufs.Get().(*wireBuf)
-	putHello(b.fixed[:helloSize(version)], hello)
-	err := b.writeFrame(c.conn, FrameHello, b.fixed[:helloSize(version)])
-	wireBufs.Put(b)
-	if err != nil {
-		return Round{}, &errTransient{fmt.Errorf("aggsvc: hello: %w", err)}
-	}
-
-	t, p, err := c.readFrameReuse()
-	if err != nil {
-		return Round{}, &errTransient{fmt.Errorf("aggsvc: awaiting JOIN: %w", err)}
-	}
-	if t == FrameAbort {
-		return Round{}, c.abortError(p)
-	}
-	if t != FrameJoin {
-		return Round{}, fmt.Errorf("aggsvc: expected JOIN, got %s", t)
-	}
-	join, err := decodeJoin(p)
+	tk, err := c.Join(spec)
 	if err != nil {
 		return Round{}, err
-	}
-	chunk := join.ChunkBytes
-	if c.opt.ChunkBytes > 0 && c.opt.ChunkBytes < chunk {
-		chunk = c.opt.ChunkBytes
-	}
-	if chunk <= 0 {
-		return Round{}, fmt.Errorf("aggsvc: gateway advertised chunk %d B", chunk)
 	}
 	// Seal only now: JOIN certifies a full round and names the agreed key
 	// epoch, so an epoch is spent only on rounds the whole group runs.
-	cipher, tags, err := c.sealer.Seal(vals, join.Epoch)
+	cipher, tags, err := c.sealer.Seal(vals, tk.Epoch)
 	if err != nil {
 		return Round{}, fmt.Errorf("aggsvc: seal: %w", err)
 	}
-	// A relay sealer's submission stands in for a whole cohort: declare
-	// which ranks it covers (and whether that coverage is itself complete)
-	// before the lanes, so the gateway can name the global survivor union
-	// if this round degrades.
-	if cr, ok := c.sealer.(CoverageReporter); ok {
-		if ranks, complete, covOK := cr.Coverage(); covOK {
-			sf := survivorsFrame{Round: join.Round, Complete: complete, Ranks: ranks}
-			if err := writeFrame(c.conn, FrameSurvivors, encodeSurvivors(sf)); err != nil {
-				return Round{}, &errTransient{fmt.Errorf("aggsvc: survivors: %w", err)}
-			}
-		}
-	}
-	if err := c.submitLane(join.Round, LaneData, cipher, chunk); err != nil {
-		return Round{}, err
-	}
-	if tags != nil {
-		if err := c.submitLane(join.Round, LaneTag, tags, chunk); err != nil {
-			return Round{}, err
-		}
-	}
-
-	t, p, err = c.readFrameReuse()
-	if err != nil {
-		return Round{}, &errTransient{fmt.Errorf("aggsvc: awaiting RESULT: %w", err)}
-	}
-	if t == FrameAbort {
-		return Round{}, c.abortError(p)
-	}
-	if t != FrameResult {
-		return Round{}, fmt.Errorf("aggsvc: expected RESULT, got %s", t)
-	}
-	round, data, rtags, wireSurv, err := decodeResultV2(p)
+	red, err := c.Exchange(tk, cipher, tags, nil)
 	if err != nil {
 		return Round{}, err
-	}
-	if round != join.Round {
-		return Round{}, fmt.Errorf("aggsvc: RESULT for round %d, joined round %d", round, join.Round)
-	}
-	if len(data) != len(cipher) {
-		return Round{}, fmt.Errorf("aggsvc: reduced lane %d B, submitted %d B", len(data), len(cipher))
-	}
-	var surv []int
-	if wireSurv != nil {
-		// The gateway promised (HELLO flag gate) never to send a partial
-		// aggregate to a client that cannot open one; a survivor trailer
-		// arriving anyway is a protocol violation, fatal like tampering.
-		if degraded == nil {
-			return Round{}, fmt.Errorf("aggsvc: RESULT names %d survivor ranks but this sealer cannot open a partial aggregate", len(wireSurv))
-		}
-		surv = make([]int, len(wireSurv))
-		for i, rk := range wireSurv {
-			surv[i] = int(rk)
-		}
 	}
 	// Verify before trusting: a tampering (or tag-stripping) gateway must
 	// fail here, not decrypt to silently wrong values — and a verification
 	// failure is deliberately fatal, not retried, so tampering surfaces.
 	// Degraded rounds verify and open against the declared survivor set,
 	// re-deriving and canceling exactly the missing ranks' noise.
-	if surv != nil {
-		if err := degraded.VerifySurvivors(data, rtags, surv); err != nil {
+	var surv []int
+	if red.Survivors != nil {
+		// The gateway promised (HELLO flag gate) never to send a partial
+		// aggregate to a client that cannot open one; a survivor trailer
+		// arriving anyway is a protocol violation, fatal like tampering.
+		if degraded == nil {
+			return Round{}, fmt.Errorf("aggsvc: RESULT names %d survivor ranks but this sealer cannot open a partial aggregate", len(red.Survivors))
+		}
+		surv = make([]int, len(red.Survivors))
+		for i, rk := range red.Survivors {
+			surv[i] = int(rk)
+		}
+		if err := degraded.VerifySurvivors(red.Data, red.Tags, surv); err != nil {
 			return Round{}, err
 		}
-		if err := degraded.OpenSurvivors(data, out[:len(vals)], surv); err != nil {
+		if err := degraded.OpenSurvivors(red.Data, out[:len(vals)], surv); err != nil {
 			return Round{}, err
 		}
 	} else {
-		if err := c.sealer.Verify(data, rtags); err != nil {
+		if err := c.sealer.Verify(red.Data, red.Tags); err != nil {
 			return Round{}, err
 		}
-		if err := c.sealer.Open(data, out[:len(vals)]); err != nil {
+		if err := c.sealer.Open(red.Data, out[:len(vals)]); err != nil {
 			return Round{}, err
 		}
 	}
-	return Round{ID: join.Round, Slot: join.Slot, Group: join.Group, Elapsed: time.Since(start),
+	return Round{ID: tk.Round, Slot: tk.Slot, Group: tk.Group, Elapsed: time.Since(start),
 		Degraded: surv != nil, Survivors: surv}, nil
+}
+
+// RoundSpec is what a participant advertises in HELLO: the round shape the
+// gateway matches it on, its key-epoch counter, and — for degraded rounds —
+// which key-schedule rank its lanes stand for and whether it can consume a
+// survivor-set RESULT.
+type RoundSpec struct {
+	Scheme     uint8 // SchemeInt64Sum, SchemeInt64Prod or SchemeInt64Xor
+	Elems      int
+	Tagged     bool   // a HoMAC tag lane follows the data lane
+	Epoch      uint64 // current key epoch (a relay: its cohort's maximum)
+	Rank       int    // key-schedule rank; -1 for none (a relay declares Coverage instead)
+	DegradedOK bool
+}
+
+// Ticket is the admission Join returns: the round is full and every
+// participant seals at Epoch.
+type Ticket struct {
+	Round uint64
+	Slot  int
+	Group int
+	Epoch uint64
+	chunk int // SUBMIT granularity: the gateway's, capped by ClientOptions.ChunkBytes
+}
+
+// Coverage declares which key-schedule ranks one submission stands for — a
+// federation leaf relaying its cohort's fold — so the upstream tier can name
+// the global survivor union if its round degrades. Complete=false declares
+// the coverage itself partial (the leaf's own cohort degraded).
+type Coverage struct {
+	Ranks    []uint32
+	Complete bool
+}
+
+// Reduced is the round's aggregate as the gateway returned it. Data and
+// Tags alias the client's read buffer and are valid only until the next
+// call on the client; Survivors is nil when the aggregate is complete.
+type Reduced struct {
+	Data, Tags []byte
+	Survivors  []uint32
+}
+
+// Join opens a round: HELLO out, then JOIN — or the gateway's typed ABORT —
+// in. Nothing is sealed yet; the returned ticket names the epoch to seal at.
+// Join and Exchange are the lane-level protocol under Aggregate, and all a
+// key-blind relay needs of it.
+func (c *Client) Join(spec RoundSpec) (Ticket, error) {
+	hello := helloFrame{Version: ProtocolVersion, Scheme: spec.Scheme, Elems: spec.Elems,
+		Epoch: spec.Epoch, Rank: spec.Rank}
+	if spec.Tagged {
+		hello.Flags |= FlagTagged
+	}
+	if spec.DegradedOK {
+		hello.Flags |= FlagDegradedOK
+	}
+	b := wireBufs.Get().(*wireBuf)
+	putHello(b.fixed[:helloPayloadBytes], hello)
+	err := b.writeFrame(c.conn, FrameHello, b.fixed[:helloPayloadBytes])
+	wireBufs.Put(b)
+	if err != nil {
+		return Ticket{}, &errTransient{fmt.Errorf("aggsvc: hello: %w", err)}
+	}
+	p, err := c.awaitFrame(FrameJoin)
+	if err != nil {
+		return Ticket{}, err
+	}
+	join, err := decodeJoin(p)
+	if err != nil {
+		return Ticket{}, err
+	}
+	chunk := join.ChunkBytes
+	if c.opt.ChunkBytes > 0 && c.opt.ChunkBytes < chunk {
+		chunk = c.opt.ChunkBytes
+	}
+	if chunk <= 0 {
+		return Ticket{}, fmt.Errorf("aggsvc: gateway advertised chunk %d B", chunk)
+	}
+	return Ticket{Round: join.Round, Slot: join.Slot, Group: join.Group, Epoch: join.Epoch, chunk: chunk}, nil
+}
+
+// Exchange submits this participant's sealed lanes for the ticket's round
+// (tags nil when untagged; cov non-nil sends a SURVIVORS frame first) and
+// blocks for the RESULT, or the gateway's typed ABORT. The reduced lanes are
+// checked against the ticket's round id and the submitted length, nothing
+// more — verifying them is the key holder's job.
+func (c *Client) Exchange(tk Ticket, data, tags []byte, cov *Coverage) (Reduced, error) {
+	if tk.chunk <= 0 {
+		return Reduced{}, errors.New("aggsvc: Exchange without a Join ticket")
+	}
+	if cov != nil {
+		sf := survivorsFrame{Round: tk.Round, Complete: cov.Complete, Ranks: cov.Ranks}
+		if err := writeFrame(c.conn, FrameSurvivors, encodeSurvivors(sf)); err != nil {
+			return Reduced{}, &errTransient{fmt.Errorf("aggsvc: survivors: %w", err)}
+		}
+	}
+	if err := c.submitLane(tk.Round, LaneData, data, tk.chunk); err != nil {
+		return Reduced{}, err
+	}
+	if tags != nil {
+		if err := c.submitLane(tk.Round, LaneTag, tags, tk.chunk); err != nil {
+			return Reduced{}, err
+		}
+	}
+	p, err := c.awaitFrame(FrameResult)
+	if err != nil {
+		return Reduced{}, err
+	}
+	round, rdata, rtags, surv, err := decodeResult(p)
+	if err != nil {
+		return Reduced{}, err
+	}
+	if round != tk.Round {
+		return Reduced{}, fmt.Errorf("aggsvc: RESULT for round %d, joined round %d", round, tk.Round)
+	}
+	if len(rdata) != len(data) {
+		return Reduced{}, fmt.Errorf("aggsvc: reduced lane %d B, submitted %d B", len(rdata), len(data))
+	}
+	return Reduced{Data: rdata, Tags: rtags, Survivors: surv}, nil
+}
+
+// awaitFrame reads the next frame and returns its payload if it is the
+// wanted type; an ABORT surfaces as the gateway's typed *AbortError.
+func (c *Client) awaitFrame(want FrameType) ([]byte, error) {
+	t, p, err := c.readFrameReuse()
+	if err != nil {
+		return nil, &errTransient{fmt.Errorf("aggsvc: awaiting %s: %w", want, err)}
+	}
+	if t == FrameAbort {
+		return nil, c.abortError(p)
+	}
+	if t != want {
+		return nil, fmt.Errorf("aggsvc: expected %s, got %s", want, t)
+	}
+	return p, nil
 }
 
 // submitLane streams one sealed lane as SUBMIT frames. Each frame is one

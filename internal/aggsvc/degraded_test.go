@@ -235,12 +235,13 @@ func TestDegradedRoundSurvivorsComplete(t *testing.T) {
 }
 
 // TestDegradedFallsBackWhenSurvivorCannotOpen: when a delivered participant
-// is not degraded-capable (no shared-group keys, so it negotiates protocol
-// v1), the gateway must not ship it a partial aggregate it cannot decrypt —
-// the deadline falls back to the evict-and-retry straggler cut instead.
+// is not degraded-capable (no shared-group keys, so its HELLO carries no
+// FlagDegradedOK), the gateway must not ship it a partial aggregate it
+// cannot decrypt — the deadline falls back to the evict-and-retry straggler
+// cut instead.
 func TestDegradedFallsBackWhenSurvivorCannotOpen(t *testing.T) {
 	const clients, elems = 2, 16
-	// Per-rank keys: AcceptsDegraded is false, so the client stays on v1.
+	// Per-rank keys: AcceptsDegraded is false, so the client never sets the flag.
 	w := mpi.NewWorld(clients)
 	ctxs, err := hear.Init(w, hear.Options{})
 	if err != nil {
@@ -277,10 +278,78 @@ func TestDegradedFallsBackWhenSurvivorCannotOpen(t *testing.T) {
 	_, err = c.Aggregate(make([]int64, elems), out)
 	var aerr *AbortError
 	if !errors.As(err, &aerr) || aerr.Code != AbortStraggler {
-		t.Fatalf("v1 survivor got %v, want %s", err, AbortStraggler)
+		t.Fatalf("flagless survivor got %v, want %s", err, AbortStraggler)
 	}
 	if got := s.StatsMap()["rounds_degraded"]; got != 0 {
-		t.Errorf("rounds_degraded = %d, want 0 (round must not degrade past a v1 survivor)", got)
+		t.Errorf("rounds_degraded = %d, want 0 (round must not degrade past a survivor without FlagDegradedOK)", got)
+	}
+}
+
+// TestHostileEpochCostsBoundedTime: a JOIN epoch is bytes from the wire —
+// any one participant sets it through the max-of-HELLOs rule. A hand-driven
+// participant advertising an absurd epoch must cost the honest client's
+// sealer a prompt, non-retryable refusal, not a catch-up loop no connection
+// deadline can interrupt.
+func TestHostileEpochCostsBoundedTime(t *testing.T) {
+	const elems = 16
+	w := mpi.NewWorld(2)
+	ctxs, err := hear.Init(w, hear.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer := ctxs[0].NewGatewaySealer(nil)
+	before := sealer.Epoch()
+	_, l := startPipeServer(t, Config{Group: 2, Logf: t.Logf})
+
+	go joinThenDie(l, helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum,
+		Elems: elems, Epoch: 1 << 60, Rank: 1}, "silent")
+
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn, sealer, ClientOptions{Timeout: 10 * time.Second})
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Aggregate(make([]int64, elems), make([]int64, elems))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("round sealed at a runaway epoch")
+		}
+		if retryable(err) {
+			t.Errorf("runaway-epoch refusal %v is retryable; re-rounding cannot fix it", err)
+		}
+		if got := sealer.Epoch(); got != before {
+			t.Errorf("sealer epoch = %d after the refusal, want %d (key must not move)", got, before)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Aggregate still spinning 5 s after a hostile participant named epoch 2^60")
+	}
+
+	// The wrap-around twin: max(HELLO epochs)+1 would be 0, which tells a
+	// sealer "advance exactly once" — refused at admission.
+	hconn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hconn.Close()
+	h := helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Elems: elems, Epoch: ^uint64(0), Rank: 1}
+	if err := writeFrame(hconn, FrameHello, encodeHello(h)); err != nil {
+		t.Fatal(err)
+	}
+	ft, p, err := readFrame(hconn, DefaultMaxFrameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft != FrameAbort {
+		t.Fatalf("HELLO at epoch 2^64-1 got %s, want ABORT", ft)
+	}
+	if aerr, err := decodeAbort(p); err != nil || aerr.Code != AbortProtocol {
+		t.Errorf("HELLO at epoch 2^64-1 got (%v, %v), want %s", aerr, err, AbortProtocol)
 	}
 }
 

@@ -36,10 +36,12 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultTimeout        = 30 * time.Second
-	DefaultDialBackoff    = 50 * time.Millisecond
-	DefaultDialBackoffMax = 2 * time.Second
+	DefaultTimeout     = 30 * time.Second
+	DefaultDialBackoff = 50 * time.Millisecond
 )
+
+// DefaultDialBackoffMax caps the exponential dial backoff.
+const DefaultDialBackoffMax = 2 * time.Second
 
 // Config configures one gateway's uplink to its upstream tier.
 type Config struct {
@@ -62,12 +64,10 @@ type Config struct {
 	// *clients* re-round end to end.
 	DialRetry int
 	// DialBackoff is the first sleep between dial attempts (default 50ms),
-	// doubling per attempt up to DialBackoffMax (default 2s) with
-	// deterministic jitter — a whole leaf tier redialing a restarted root
-	// must spread out, not stampede in lockstep.
+	// doubling per attempt up to DefaultDialBackoffMax with deterministic
+	// jitter — a whole leaf tier redialing a restarted root must spread
+	// out, not stampede in lockstep.
 	DialBackoff time.Duration
-	// DialBackoffMax caps the exponential dial backoff (default 2s).
-	DialBackoffMax time.Duration
 	// MaxFrameBytes bounds upstream frames (default aggsvc's).
 	MaxFrameBytes int
 	// Tier labels this gateway's depth in the federation (leaves are tier
@@ -94,9 +94,6 @@ func (c *Config) fill() error {
 	if c.DialBackoff <= 0 {
 		c.DialBackoff = DefaultDialBackoff
 	}
-	if c.DialBackoffMax <= 0 {
-		c.DialBackoffMax = DefaultDialBackoffMax
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -111,9 +108,9 @@ type Uplink struct {
 	cfg Config
 
 	// bufs recycles the per-exchange frame read buffers: each upstream
-	// round's client draws its reusable RESULT/JOIN buffer here and
-	// returns it on Close, so a long-lived leaf's steady state keeps a
-	// handful of high-water buffers instead of allocating one per round.
+	// round's client draws its reusable RESULT/JOIN buffer here and returns
+	// it when its exchange ends, so a long-lived leaf's steady state keeps
+	// a handful of high-water buffers instead of allocating one per round.
 	bufs sync.Pool
 
 	dialSeq atomic.Int64 // distinct jitter seed per dial loop
@@ -165,7 +162,11 @@ func (u *Uplink) Dialer() aggsvc.UplinkDialer {
 			return nil, err
 		}
 		u.inflight.Add(1)
-		return &wireRound{u: u, cohort: cohort, conn: conn, done: make(chan error, 1)}, nil
+		return &wireRound{u: u, cohort: cohort, conn: conn,
+			client: aggsvc.NewClient(conn, nil, aggsvc.ClientOptions{
+				MaxFrameBytes: u.cfg.MaxFrameBytes,
+				ReadBufPool:   &u.bufs,
+			})}, nil
 	}
 }
 
@@ -176,7 +177,7 @@ func (u *Uplink) dial() (net.Conn, error) {
 		timeout := u.cfg.Timeout
 		dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
 	}
-	bo := &aggsvc.Backoff{Base: u.cfg.DialBackoff, Max: u.cfg.DialBackoffMax,
+	bo := &aggsvc.Backoff{Base: u.cfg.DialBackoff, Max: DefaultDialBackoffMax,
 		Seed: int64(u.cfg.Tier)<<32 ^ u.dialSeq.Add(1)}
 	var lastErr error
 	for attempt := 0; attempt <= u.cfg.DialRetry; attempt++ {
@@ -193,240 +194,98 @@ func (u *Uplink) dial() (net.Conn, error) {
 	return nil, &aggsvc.GiveUpError{Op: "dial upstream", Attempts: u.cfg.DialRetry + 1, Last: lastErr}
 }
 
-// lanePair carries the two lanes of one exchange direction.
-type lanePair struct{ data, tags []byte }
-
-// globalLanes is the downward leg of one exchange: the globally reduced
-// lanes plus the upstream RESULT's survivor union (nil when complete).
-type globalLanes struct {
-	data, tags []byte
-	surv       []uint32
-}
-
-// cascadeSealer is the pass-through "sealer" a leaf presents to the
-// upstream tier. It holds no keys: Seal hands over the cohort's already-
-// folded lanes, Verify captures the global lanes (the *clients* verify —
-// a leaf cannot, and must not need to), and Open is a no-op. The channel
-// rendezvous is what splits aggsvc.Client's single Aggregate call into
-// the two phases a cascade needs: the epoch handshake before the cohort
-// seals, and the lane relay after it folds.
-type cascadeSealer struct {
-	scheme uint8
-	tagged bool
-	epoch  uint64 // the cohort's max HELLO epoch, advertised upstream
-
-	// Rank coverage of the relayed fold, written by wireRound.Relay before
-	// the lanesCh send (whose happens-before edge publishes them to the
-	// client goroutine, which reads Coverage only after Seal returns).
-	covers         []uint32
-	coversComplete bool
-	coversSet      bool
-
-	epochCh  chan uint64      // ← Seal: the upstream JOIN's agreed epoch
-	lanesCh  chan lanePair    // → Seal: the cohort's folded partial lanes
-	globalCh chan globalLanes // ← Verify: the globally reduced lanes (+ survivors)
-	closeCh  chan struct{}    // broken rendezvous: the leaf round died
-}
-
-func (s *cascadeSealer) Tagged() bool    { return s.tagged }
-func (s *cascadeSealer) SchemeID() uint8 { return s.scheme }
-func (s *cascadeSealer) Epoch() uint64   { return s.epoch }
-
-// RankID: a relay has no key-schedule rank of its own — its submission
-// stands in for the ranks Coverage declares.
-func (s *cascadeSealer) RankID() int { return -1 }
-
-// AcceptsDegraded: a key-blind relay always accepts a survivor-set RESULT —
-// it verifies and opens nothing itself; the survivor union just fans down
-// to the cohort's clients, who do.
-func (s *cascadeSealer) AcceptsDegraded() bool { return true }
-
-// Coverage reports the rank set the relayed fold covers (set by Relay).
-func (s *cascadeSealer) Coverage() (ranks []uint32, complete bool, ok bool) {
-	return s.covers, s.coversComplete, s.coversSet
-}
-
-// Seal reports the upstream-agreed epoch to the waiting Negotiate, then
-// blocks until Relay supplies the folded partial lanes.
-func (s *cascadeSealer) Seal(_ []int64, epoch uint64) (cipher, tags []byte, err error) {
-	s.epochCh <- epoch
-	select {
-	case l := <-s.lanesCh:
-		return l.data, l.tags, nil
-	case <-s.closeCh:
-		return nil, nil, fmt.Errorf("federation: leaf round ended before its fold completed")
-	}
-}
-
-// Verify captures the globally reduced lanes; verification itself belongs
-// to the key-holding clients at the tree's leaves. The lanes alias the
-// uplink client's recycled read buffer, and the leaf's downlink fan-out
-// outlives this exchange (the buffer returns to the shared pool on Close,
-// where the next cohort's round would scribble over it) — so this is the
-// single copy the cascade pays per cohort round, and everything past it is
-// zero-copy (see DESIGN.md, "Zero-copy wire path").
-func (s *cascadeSealer) Verify(reducedCipher, reducedTags []byte) error {
-	return s.capture(reducedCipher, reducedTags, nil)
-}
-
-// VerifySurvivors captures a *degraded* global RESULT: the lanes plus the
-// survivor union, which the leaf forwards verbatim in its own RESULT
-// trailers. A key-blind tier cannot (and must not need to) check the
-// subset math — the cohort's clients verify against the same survivor set.
-func (s *cascadeSealer) VerifySurvivors(reducedCipher, reducedTags []byte, survivors []int) error {
-	surv := make([]uint32, len(survivors))
-	for i, rk := range survivors {
-		if rk < 0 {
-			return fmt.Errorf("federation: negative survivor rank %d", rk)
-		}
-		surv[i] = uint32(rk)
-	}
-	return s.capture(reducedCipher, reducedTags, surv)
-}
-
-func (s *cascadeSealer) capture(reducedCipher, reducedTags []byte, surv []uint32) error {
-	g := globalLanes{data: append([]byte(nil), reducedCipher...), surv: surv}
-	if reducedTags != nil {
-		g.tags = append([]byte(nil), reducedTags...)
-	}
-	s.globalCh <- g
-	return nil
-}
-
-// Open is a no-op: a key-blind tier has nothing to decrypt.
-func (s *cascadeSealer) Open([]byte, []int64) error { return nil }
-
-// OpenSurvivors is likewise a no-op.
-func (s *cascadeSealer) OpenSurvivors([]byte, []int64, []int) error { return nil }
-
-// wireRound is one upstream exchange: an aggsvc.Client round driven on its
-// own goroutine, with the cascadeSealer as the rendezvous between the
-// server core's Negotiate/Relay phases and the client's Seal/Verify
-// callbacks.
+// wireRound is one upstream exchange: a lane-level aggsvc.Client on its own
+// connection, driven by the goroutine that calls Negotiate and Relay (the
+// server core's runCascade). It holds no keys and no sealer — a relay moves
+// ciphertext; only the clients at the tree's leaves verify and open it.
+//
+// Buffer ownership: the client's recycled read buffer is touched only by the
+// goroutine that runs Negotiate/Relay, and that goroutine returns it to the
+// pool once its exchange has ended; Close, which may race a blocked read,
+// only closes the connection to unblock it.
 type wireRound struct {
 	u      *Uplink
 	cohort int
 	conn   net.Conn
 
-	sealer *cascadeSealer
-	done   chan error // the Aggregate goroutine's outcome
+	client *aggsvc.Client
+	ticket aggsvc.Ticket // zero until Negotiate; Exchange refuses it
 
-	mu      sync.Mutex
-	started bool
-	closed  bool
+	closed atomic.Bool
 }
 
-// Negotiate starts the upstream round and blocks until its JOIN names the
-// federation's agreed seal epoch.
+// Negotiate sends the cohort's HELLO upstream and blocks until the upstream
+// JOIN names the federation's agreed seal epoch. The whole exchange, HELLO
+// through RESULT, runs under one cfg.Timeout deadline on this connection.
 func (w *wireRound) Negotiate(scheme uint8, elems int, tagged bool, cohortEpoch uint64) (uint64, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("federation: uplink round closed")
-	}
-	w.sealer = &cascadeSealer{
-		scheme:   scheme,
-		tagged:   tagged,
-		epoch:    cohortEpoch,
-		epochCh:  make(chan uint64, 1),
-		lanesCh:  make(chan lanePair),
-		globalCh: make(chan globalLanes, 1),
-		closeCh:  make(chan struct{}),
-	}
-	client := aggsvc.NewClient(w.conn, w.sealer, aggsvc.ClientOptions{
-		Timeout:       w.u.cfg.Timeout,
-		MaxFrameBytes: w.u.cfg.MaxFrameBytes,
-		ReadBufPool:   &w.u.bufs,
-	})
-	w.started = true
-	w.mu.Unlock()
-
 	w.u.rounds.Inc()
 	start := time.Now()
-	go func() {
-		// The dummy vector sizes HELLO's element count; the cascade sealer
-		// ignores its contents and hands over real lanes.
-		dummy := make([]int64, elems)
-		_, err := client.Aggregate(dummy, dummy)
-		// The exchange is over (Verify already copied the global lanes), so
-		// the read buffer can rejoin the pool. Only this goroutine may do
-		// it: wireRound.Close can race a still-blocked Aggregate, and
-		// recycling under a mid-flight read would hand the buffer to
-		// another cohort while ours still writes it. Closing the conn here
-		// is safe — each upstream exchange owns its connection.
-		client.Close()
-		w.done <- err
-	}()
-	select {
-	case epoch := <-w.sealer.epochCh:
-		w.u.negotiateS.Observe(time.Since(start).Seconds())
-		return epoch, nil
-	case err := <-w.done:
-		w.u.failures.Inc()
-		w.u.cfg.Logf("federation: cohort %d: upstream negotiation failed: %v", w.cohort, err)
-		if err == nil {
-			err = fmt.Errorf("federation: upstream round ended before JOIN")
-		}
-		return 0, err
+	w.conn.SetDeadline(start.Add(w.u.cfg.Timeout))
+	// A relay has no key-schedule rank of its own (its submission stands in
+	// for the ranks Relay declares) and always accepts a survivor-set
+	// RESULT: it verifies and opens nothing, the survivor union just fans
+	// down to the cohort's clients, who do.
+	tk, err := w.client.Join(aggsvc.RoundSpec{Scheme: scheme, Elems: elems, Tagged: tagged,
+		Epoch: cohortEpoch, Rank: -1, DegradedOK: true})
+	if err != nil {
+		w.client.Close()
+		return 0, w.fail("negotiation", err)
 	}
+	w.ticket = tk
+	w.u.negotiateS.Observe(time.Since(start).Seconds())
+	return tk.Epoch, nil
 }
 
-// Relay hands the cohort's folded partial lanes — with their declared rank
-// coverage — to the in-flight upstream round and blocks for the globally
-// reduced ones plus the global survivor union (nil when complete).
+// Relay submits the cohort's folded partial lanes — with their declared rank
+// coverage — and blocks for the globally reduced ones plus the global
+// survivor union (nil when complete).
 func (w *wireRound) Relay(data, tags []byte, covers []uint32, complete bool) ([]byte, []byte, []uint32, error) {
-	w.mu.Lock()
-	started := w.started
-	w.mu.Unlock()
-	if !started {
-		return nil, nil, nil, fmt.Errorf("federation: Relay before Negotiate")
+	// Whatever happens below, the exchange is over when Relay returns, so
+	// the read buffer rejoins the pool from this goroutine.
+	defer w.client.Close()
+	var cov *aggsvc.Coverage
+	if covers != nil || !complete {
+		cov = &aggsvc.Coverage{Ranks: covers, Complete: complete}
 	}
 	if !complete {
 		w.u.partialRelays.Inc()
 	}
-	// Publish coverage before the lanesCh send: the channel edge makes it
-	// visible to the client goroutine, which reads Coverage after Seal.
-	w.sealer.covers = covers
-	w.sealer.coversComplete = complete
-	w.sealer.coversSet = covers != nil || !complete
 	start := time.Now()
-	select {
-	case w.sealer.lanesCh <- lanePair{data, tags}:
-	case err := <-w.done:
-		w.u.failures.Inc()
-		if err == nil {
-			err = fmt.Errorf("federation: upstream round ended before the relay")
-		}
-		w.u.cfg.Logf("federation: cohort %d: upstream relay failed: %v", w.cohort, err)
-		return nil, nil, nil, err
-	}
-	if err := <-w.done; err != nil {
-		w.u.failures.Inc()
-		w.u.cfg.Logf("federation: cohort %d: upstream relay failed: %v", w.cohort, err)
-		return nil, nil, nil, err
+	red, err := w.client.Exchange(w.ticket, data, tags, cov)
+	if err != nil {
+		return nil, nil, nil, w.fail("relay", err)
 	}
 	w.u.relayS.Observe(time.Since(start).Seconds())
-	g := <-w.sealer.globalCh
-	if g.surv != nil {
+	// The reduced lanes alias the client's recycled read buffer, and the
+	// leaf's downlink fan-out outlives this exchange — so this is the single
+	// copy the cascade pays per cohort round, and everything past it is
+	// zero-copy (see DESIGN.md, "Zero-copy wire path"). Verification belongs
+	// to the key-holding clients; a key-blind tier forwards the survivor
+	// union verbatim.
+	gdata := append([]byte(nil), red.Data...)
+	var gtags []byte
+	if red.Tags != nil {
+		gtags = append([]byte(nil), red.Tags...)
+	}
+	if red.Survivors != nil {
 		w.u.degradedDown.Inc()
 	}
-	return g.data, g.tags, g.surv, nil
+	return gdata, gtags, red.Survivors, nil
 }
 
-// Close releases the upstream connection and breaks any pending
-// rendezvous, so a leaf round dying underneath a blocked exchange unwinds
-// promptly. Safe to call concurrently and repeatedly.
+// fail counts and logs one upstream failure.
+func (w *wireRound) fail(stage string, err error) error {
+	w.u.failures.Inc()
+	w.u.cfg.Logf("federation: cohort %d: upstream %s failed: %v", w.cohort, stage, err)
+	return err
+}
+
+// Close releases the upstream connection, which also unblocks a Negotiate
+// or Relay parked on it, so a leaf round dying underneath an exchange
+// unwinds promptly. Safe to call concurrently and repeatedly.
 func (w *wireRound) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	if w.closed.Swap(true) {
 		return nil
-	}
-	w.closed = true
-	sealer := w.sealer
-	w.mu.Unlock()
-	if sealer != nil {
-		close(sealer.closeCh)
 	}
 	w.u.inflight.Add(-1)
 	return w.conn.Close()

@@ -7,7 +7,7 @@
 // forge, or selectively modify a verified aggregate — exactly the trust the
 // paper places in an untrusted switch.
 //
-// The wire protocol is a versioned, length-prefixed binary framing:
+// The wire protocol is a length-prefixed binary framing with one version:
 //
 //	| u32 length (LE) | u8 type | payload ... |
 //
@@ -19,15 +19,14 @@
 // round fails closed. STATS exposes the gateway's counters and phase
 // timings.
 //
-// Protocol v2 adds dropout tolerance for clients whose key policy can
-// re-derive missing ranks' noise (Config.DegradedRounds): a v2 HELLO
-// carries the client's key-schedule rank and a degraded-capable flag, a
-// SURVIVORS frame lets a federation leaf declare which ranks its one
+// Dropout tolerance (Config.DegradedRounds) is a capability, not a
+// version: every HELLO carries the client's key-schedule rank, and a client
+// whose key policy can re-derive missing ranks' noise sets FlagDegradedOK.
+// A SURVIVORS frame lets a federation leaf declare which ranks its one
 // submission covers, and a degraded RESULT appends the explicit survivor
-// set after the tag lane. v1 clients interoperate unchanged — a complete
-// round's RESULT is bit-identical to v1, and in a degraded round they are
-// cut with a retryable ABORT instead of receiving a survivor set they
-// cannot decrypt.
+// set after the tag lane. A complete round's RESULT has no trailer, and in
+// a degraded round a participant without the flag is cut with a retryable
+// ABORT instead of receiving a survivor set it cannot decrypt.
 package aggsvc
 
 import (
@@ -39,15 +38,11 @@ import (
 	"time"
 )
 
-// ProtocolVersion is the current wire protocol version. The server admits
-// both v1 and v2 HELLOs; clients advertise v2 only when they can actually
-// consume its one behavioral addition (survivor-set RESULTs), so a fleet
-// of fail-closed clients keeps speaking v1 and interoperates with old
-// servers.
+// ProtocolVersion is the one wire protocol version: this repository is both
+// ends of every connection, so a HELLO naming any other is refused with
+// AbortVersion. What a client can consume (survivor-set RESULTs) is carried
+// by FlagDegradedOK, not by the version.
 const ProtocolVersion uint16 = 2
-
-// ProtocolV1 is the original fail-closed protocol version.
-const ProtocolV1 uint16 = 1
 
 // FrameType identifies a protocol frame.
 type FrameType uint8
@@ -61,7 +56,7 @@ const (
 	FrameAbort    FrameType = 5 // either direction: the round failed, typed
 	FrameStatsReq FrameType = 6 // client → server: request counters
 	FrameStats    FrameType = 7 // server → client: counters and phase timings
-	// FrameSurvivors (v2, client → server) declares which key-schedule
+	// FrameSurvivors (client → server) declares which key-schedule
 	// ranks the sender's one submission covers — a federation leaf relaying
 	// its cohort's fold names the cohort's rank set (and whether it is
 	// complete), so the upstream tier can compute a sound survivor union
@@ -111,7 +106,7 @@ const (
 // HELLO flag bits.
 const (
 	FlagTagged uint8 = 1 << 0 // the client submits a HoMAC tag lane
-	// FlagDegradedOK (v2) marks a participant able to verify and open a
+	// FlagDegradedOK marks a participant able to verify and open a
 	// survivor-subset RESULT (its key policy derives missing ranks' noise).
 	// Participants without it are cut with a retryable ABORT when a round
 	// degrades, never handed a partial aggregate they cannot decrypt.
@@ -123,25 +118,16 @@ const (
 const DefaultMaxFrameBytes = 16 << 20
 
 const (
-	frameHeaderBytes    = 5 // u32 length + u8 type
-	helloPayloadBytes   = 16
-	helloPayloadBytesV2 = 20 // v1 payload + u32 key-schedule rank
-	joinPayloadBytes    = 32
-	submitHeaderBytes   = 13 // round u64 + lane u8 + offset u32
-	survivorsHeadBytes  = 13 // round u64 + flags u8 + count u32
+	frameHeaderBytes   = 5  // u32 length + u8 type
+	helloPayloadBytes  = 20 // version u16 + scheme u8 + flags u8 + elems u32 + epoch u64 + rank u32
+	joinPayloadBytes   = 32
+	submitHeaderBytes  = 13 // round u64 + lane u8 + offset u32
+	survivorsHeadBytes = 13 // round u64 + flags u8 + count u32
 )
 
-// rankUnknown is the v2 HELLO rank wire value for "no key-schedule rank"
-// (e.g. a federation leaf, whose coverage arrives via SURVIVORS instead).
+// rankUnknown is the HELLO rank wire value for "no key-schedule rank" (e.g.
+// a federation leaf, whose coverage arrives via SURVIVORS instead).
 const rankUnknown = ^uint32(0)
-
-// helloSize is the HELLO payload length for a protocol version.
-func helloSize(version uint16) int {
-	if version >= 2 {
-		return helloPayloadBytesV2
-	}
-	return helloPayloadBytes
-}
 
 // AbortCode classifies why a round failed.
 type AbortCode uint16
@@ -305,22 +291,16 @@ type helloFrame struct {
 	Flags   uint8
 	Elems   int
 	Epoch   uint64
-	// Rank is the client's key-schedule rank (v2 only; -1 = unknown, the
-	// wire form rankUnknown). A degraded round's survivor set names ranks,
-	// so the server needs to know which rank a flat participant covers.
+	// Rank is the client's key-schedule rank (-1 = unknown, the wire form
+	// rankUnknown). A degraded round's survivor set names ranks, so the
+	// server needs to know which rank a flat participant covers.
 	Rank int
 }
 
 func (h helloFrame) tagged() bool     { return h.Flags&FlagTagged != 0 }
-func (h helloFrame) degradedOK() bool { return h.Version >= 2 && h.Flags&FlagDegradedOK != 0 }
+func (h helloFrame) degradedOK() bool { return h.Flags&FlagDegradedOK != 0 }
 
-func encodeHello(h helloFrame) []byte {
-	p := make([]byte, helloSize(h.Version))
-	putHello(p, h)
-	return p
-}
-
-// putHello encodes a HELLO payload into p (len == helloSize(h.Version))
+// putHello encodes a HELLO payload into p (len >= helloPayloadBytes)
 // without allocating; emit paths encode into pooled wireBuf scratch.
 func putHello(p []byte, h helloFrame) {
 	binary.LittleEndian.PutUint16(p[0:], h.Version)
@@ -328,38 +308,27 @@ func putHello(p []byte, h helloFrame) {
 	p[3] = h.Flags
 	binary.LittleEndian.PutUint32(p[4:], uint32(h.Elems))
 	binary.LittleEndian.PutUint64(p[8:], h.Epoch)
-	if len(p) >= helloPayloadBytesV2 {
-		rank := rankUnknown
-		if h.Rank >= 0 {
-			rank = uint32(h.Rank)
-		}
-		binary.LittleEndian.PutUint32(p[16:], rank)
+	rank := rankUnknown
+	if h.Rank >= 0 {
+		rank = uint32(h.Rank)
 	}
+	binary.LittleEndian.PutUint32(p[16:], rank)
 }
 
 func decodeHello(p []byte) (helloFrame, error) {
-	h := helloFrame{Rank: -1}
-	switch len(p) {
-	case helloPayloadBytes, helloPayloadBytesV2:
-	default:
-		return helloFrame{}, fmt.Errorf("aggsvc: HELLO payload %d B, want %d or %d",
-			len(p), helloPayloadBytes, helloPayloadBytesV2)
+	if len(p) != helloPayloadBytes {
+		return helloFrame{}, fmt.Errorf("aggsvc: HELLO payload %d B, want %d", len(p), helloPayloadBytes)
 	}
-	h.Version = binary.LittleEndian.Uint16(p[0:])
-	// The payload length is version-determined; a mismatch is a protocol
-	// violation, not a tolerated variant (it would also break the codec's
-	// encode∘decode identity).
-	if want := helloSize(h.Version); len(p) != want {
-		return helloFrame{}, fmt.Errorf("aggsvc: HELLO v%d payload %d B, want %d", h.Version, len(p), want)
+	h := helloFrame{
+		Version: binary.LittleEndian.Uint16(p[0:]),
+		Scheme:  p[2],
+		Flags:   p[3],
+		Elems:   int(binary.LittleEndian.Uint32(p[4:])),
+		Epoch:   binary.LittleEndian.Uint64(p[8:]),
+		Rank:    -1,
 	}
-	h.Scheme = p[2]
-	h.Flags = p[3]
-	h.Elems = int(binary.LittleEndian.Uint32(p[4:]))
-	h.Epoch = binary.LittleEndian.Uint64(p[8:])
-	if len(p) >= helloPayloadBytesV2 {
-		if rank := binary.LittleEndian.Uint32(p[16:]); rank != rankUnknown {
-			h.Rank = int(rank)
-		}
+	if rank := binary.LittleEndian.Uint32(p[16:]); rank != rankUnknown {
+		h.Rank = int(rank)
 	}
 	return h, nil
 }
@@ -384,12 +353,6 @@ func remainingMS(d time.Duration) uint32 {
 		return 0
 	}
 	return uint32(d.Milliseconds())
-}
-
-func encodeJoin(j joinFrame) []byte {
-	p := make([]byte, joinPayloadBytes)
-	putJoin(p, j)
-	return p
 }
 
 // putJoin encodes a JOIN payload into p (len >= joinPayloadBytes) without
@@ -471,7 +434,7 @@ func decodeSurvivors(p []byte) (survivorsFrame, error) {
 
 // encodeSurvivorList encodes the RESULT survivor trailer: u32 count + the
 // ranks. It is appended after the tag lane only in degraded rounds, so a
-// complete round's RESULT stays bit-identical to protocol v1.
+// complete round's RESULT carries no trailer at all.
 func encodeSurvivorList(ranks []uint32) []byte {
 	p := make([]byte, 4+4*len(ranks))
 	binary.LittleEndian.PutUint32(p[0:], uint32(len(ranks)))
@@ -487,12 +450,6 @@ type submitHeader struct {
 	Round  uint64
 	Lane   uint8
 	Offset int // byte offset of this chunk within the lane
-}
-
-func encodeSubmitHeader(h submitHeader) []byte {
-	p := make([]byte, submitHeaderBytes)
-	putSubmitHeader(p, h)
-	return p
 }
 
 // putSubmitHeader encodes a SUBMIT chunk prefix into p (len >=
@@ -516,43 +473,31 @@ func decodeSubmitHeader(p []byte) (submitHeader, error) {
 
 // decodeResult parses a RESULT payload: the round id, then each reduced
 // lane behind a u32 length prefix (the tag lane is empty for unverified
-// rounds). The returned lanes alias p. The server emits the same layout as
-// a vectored write of the shared accumulators (resultVectors), never as one
-// staged buffer.
-func decodeResult(p []byte) (round uint64, data, tags []byte, err error) {
+// rounds), then — only when the round degraded — the survivor trailer (u32
+// count + count×u32 ranks). The returned lanes alias p. The server emits the
+// same layout as a vectored write of the shared accumulators
+// (resultVectors), never as one staged buffer. A nil survivors return means
+// the aggregate is complete; a trailer that is present but malformed —
+// truncated, oversize, or an empty survivor set — is an error, never
+// silently ignored: opening a partial aggregate as if it were complete would
+// decrypt garbage.
+func decodeResult(p []byte) (round uint64, data, tags []byte, survivors []uint32, err error) {
 	if len(p) < 16 {
-		return 0, nil, nil, fmt.Errorf("aggsvc: RESULT payload %d B too short", len(p))
+		return 0, nil, nil, nil, fmt.Errorf("aggsvc: RESULT payload %d B too short", len(p))
 	}
 	round = binary.LittleEndian.Uint64(p[0:])
 	dn := int(binary.LittleEndian.Uint32(p[8:]))
 	if 12+dn+4 > len(p) {
-		return 0, nil, nil, fmt.Errorf("aggsvc: RESULT data lane %d B overruns payload", dn)
+		return 0, nil, nil, nil, fmt.Errorf("aggsvc: RESULT data lane %d B overruns payload", dn)
 	}
 	data = p[12 : 12+dn]
 	tn := int(binary.LittleEndian.Uint32(p[12+dn:]))
 	if 16+dn+tn > len(p) {
-		return 0, nil, nil, fmt.Errorf("aggsvc: RESULT tag lane %d B overruns payload", tn)
+		return 0, nil, nil, nil, fmt.Errorf("aggsvc: RESULT tag lane %d B overruns payload", tn)
 	}
-	tags = p[16+dn : 16+dn+tn]
-	if tn == 0 {
-		tags = nil
+	if tn > 0 {
+		tags = p[16+dn : 16+dn+tn]
 	}
-	return round, data, tags, nil
-}
-
-// decodeResultV2 parses a RESULT including the optional v2 survivor
-// trailer (u32 count + count×u32 ranks, appended after the tag lane only
-// when the round degraded). A nil survivors return means the aggregate is
-// complete; a trailer that is present but malformed — truncated, oversize,
-// or an empty survivor set — is an error, never silently ignored: opening
-// a partial aggregate as if it were complete would decrypt garbage.
-func decodeResultV2(p []byte) (round uint64, data, tags []byte, survivors []uint32, err error) {
-	round, data, tags, err = decodeResult(p)
-	if err != nil {
-		return 0, nil, nil, nil, err
-	}
-	dn := int(binary.LittleEndian.Uint32(p[8:]))
-	tn := int(binary.LittleEndian.Uint32(p[12+dn:]))
 	rest := p[16+dn+tn:]
 	if len(rest) == 0 {
 		return round, data, tags, nil, nil

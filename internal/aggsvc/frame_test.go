@@ -25,6 +25,27 @@ func encodeResult(round uint64, data, tags []byte) []byte {
 	return p
 }
 
+// encodeHello, encodeJoin and encodeSubmitHeader are the allocating forms
+// of the put* encoders, for tests that speak the protocol by hand; the
+// shipped emit paths encode into pooled wireBuf scratch.
+func encodeHello(h helloFrame) []byte {
+	p := make([]byte, helloPayloadBytes)
+	putHello(p, h)
+	return p
+}
+
+func encodeJoin(j joinFrame) []byte {
+	p := make([]byte, joinPayloadBytes)
+	putJoin(p, j)
+	return p
+}
+
+func encodeSubmitHeader(h submitHeader) []byte {
+	p := make([]byte, submitHeaderBytes)
+	putSubmitHeader(p, h)
+	return p
+}
+
 // readFrame reads a whole frame into a fresh buffer, for tests that speak
 // the protocol by hand.
 func readFrame(r io.Reader, max int) (FrameType, []byte, error) {
@@ -45,18 +66,17 @@ func readFrame(r io.Reader, max int) (FrameType, []byte, error) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	cases := []helloFrame{
-		// v2 hellos carry a key-schedule rank (rankUnknown on the wire for -1).
+		// Every hello carries a key-schedule rank (rankUnknown on the wire for -1).
 		{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Flags: FlagTagged | FlagDegradedOK, Elems: 8192, Epoch: 7, Rank: 3},
 		{Version: ProtocolVersion, Scheme: SchemeInt64Prod, Flags: 0, Elems: 1, Epoch: 2, Rank: -1},
+		// The codec is version-agnostic; refusing a foreign version is admit's job.
 		{Version: 0xffff, Scheme: SchemeInt64Prod, Flags: 0, Elems: 0, Epoch: math.MaxUint64, Rank: 0},
-		// v1 hellos have no rank field; the decoder reports -1.
-		{Version: ProtocolV1, Scheme: SchemeInt64Sum, Flags: FlagTagged, Elems: 8192, Epoch: 7, Rank: -1},
 		{Version: 0, Scheme: SchemeInt64Xor, Flags: 0xff, Elems: math.MaxUint32, Epoch: 0, Rank: -1},
 	}
 	for _, want := range cases {
 		p := encodeHello(want)
-		if len(p) != helloSize(want.Version) {
-			t.Fatalf("HELLO v%d payload %d B, want %d", want.Version, len(p), helloSize(want.Version))
+		if len(p) != helloPayloadBytes {
+			t.Fatalf("HELLO payload %d B, want %d", len(p), helloPayloadBytes)
 		}
 		got, err := decodeHello(p)
 		if err != nil {
@@ -66,28 +86,24 @@ func TestHelloRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v -> %+v", want, got)
 		}
 	}
-	for _, n := range []int{0, 1, helloPayloadBytes - 1, helloPayloadBytes + 1, helloPayloadBytesV2 + 1} {
+	for _, n := range []int{0, 1, 15, 16, 17, helloPayloadBytes - 1, helloPayloadBytes + 1} {
 		if _, err := decodeHello(make([]byte, n)); err == nil {
 			t.Errorf("decodeHello accepted %d B payload", n)
 		}
 	}
-	// The payload length is version-determined: a v1 hello padded to v2
-	// length (or a v2 hello truncated to v1 length) is a protocol violation.
-	long := encodeHello(helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Elems: 4, Rank: 1})
-	if _, err := decodeHello(long[:helloPayloadBytes]); err == nil {
-		t.Error("decodeHello accepted a v2 hello truncated to v1 length")
-	}
-	short := encodeHello(helloFrame{Version: ProtocolV1, Scheme: SchemeInt64Sum, Elems: 4, Rank: -1})
-	if _, err := decodeHello(append(short, 0, 0, 0, 0)); err == nil {
-		t.Error("decodeHello accepted a v1 hello padded to v2 length")
-	}
-	// degradedOK requires both the v2 flag and a v2 version.
-	if (helloFrame{Version: ProtocolV1, Flags: FlagDegradedOK}).degradedOK() {
-		t.Error("v1 hello reported degradedOK")
+	// The capability is the flag alone.
+	if (helloFrame{Version: ProtocolVersion}).degradedOK() {
+		t.Error("hello without FlagDegradedOK reported degradedOK")
 	}
 	if !(helloFrame{Version: ProtocolVersion, Flags: FlagDegradedOK}).degradedOK() {
-		t.Error("v2 hello with FlagDegradedOK not reported degradedOK")
+		t.Error("hello with FlagDegradedOK not reported degradedOK")
 	}
+
+	// Against a live server: one version, one HELLO size. A 20-byte HELLO
+	// naming version 1 is a version mismatch; the old 16-byte image is
+	// malformed.
+	expectHelloRefused(t, encodeHello(helloFrame{Version: 1, Scheme: SchemeInt64Sum, Elems: 4, Rank: -1}), AbortVersion)
+	expectHelloRefused(t, encodeHello(helloFrame{Version: ProtocolVersion, Scheme: SchemeInt64Sum, Elems: 4})[:16], AbortProtocol)
 }
 
 func TestSurvivorsRoundTrip(t *testing.T) {
@@ -130,10 +146,9 @@ func TestSurvivorsRoundTrip(t *testing.T) {
 func TestResultV2SurvivorTrailer(t *testing.T) {
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	tags := []byte{9, 10, 11, 12, 13, 14, 15, 16}
-	// No trailer: survivors must come back nil (complete aggregate), and the
-	// bytes are exactly the v1 encoding.
+	// No trailer: survivors must come back nil (complete aggregate).
 	plain := encodeResult(5, data, tags)
-	round, d, tg, surv, err := decodeResultV2(plain)
+	round, d, tg, surv, err := decodeResult(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +159,7 @@ func TestResultV2SurvivorTrailer(t *testing.T) {
 	for _, tgs := range [][]byte{tags, nil} {
 		want := []uint32{0, 3, 4}
 		p := append(encodeResult(7, data, tgs), encodeSurvivorList(want)...)
-		round, d, tg, surv, err = decodeResultV2(p)
+		round, d, tg, surv, err = decodeResult(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,16 +169,16 @@ func TestResultV2SurvivorTrailer(t *testing.T) {
 		// Truncating the trailer anywhere must error — a short read cannot
 		// silently turn a degraded RESULT into a complete one.
 		for n := len(p) - len(encodeSurvivorList(want)) + 1; n < len(p); n++ {
-			if _, _, _, _, err := decodeResultV2(p[:n]); err == nil {
-				t.Fatalf("decodeResultV2 accepted %d of %d B", n, len(p))
+			if _, _, _, _, err := decodeResult(p[:n]); err == nil {
+				t.Fatalf("decodeResult accepted %d of %d B", n, len(p))
 			}
 		}
 	}
 	// An empty survivor set is malformed: it would claim an aggregate over
 	// nobody.
 	empty := append(encodeResult(7, data, nil), encodeSurvivorList(nil)...)
-	if _, _, _, _, err := decodeResultV2(empty); err == nil {
-		t.Error("decodeResultV2 accepted an empty survivor set")
+	if _, _, _, _, err := decodeResult(empty); err == nil {
+		t.Error("decodeResult accepted an empty survivor set")
 	}
 }
 
@@ -246,18 +261,18 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := encodeResult(tc.round, tc.data, tc.tags)
-		round, data, tags, err := decodeResult(p)
+		round, data, tags, surv, err := decodeResult(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if round != tc.round || !bytes.Equal(data, tc.data) || !bytes.Equal(tags, tc.tags) {
+		if round != tc.round || !bytes.Equal(data, tc.data) || !bytes.Equal(tags, tc.tags) || surv != nil {
 			t.Fatalf("round trip (%d, %x, %x) -> (%d, %x, %x)",
 				tc.round, tc.data, tc.tags, round, data, tags)
 		}
 		// The lane lengths are exact, so every strict prefix must be
 		// rejected — a short read cannot decode into silently shorter lanes.
 		for n := 0; n < len(p); n++ {
-			if _, _, _, err := decodeResult(p[:n]); err == nil {
+			if _, _, _, _, err := decodeResult(p[:n]); err == nil {
 				t.Fatalf("decodeResult accepted %d of %d B", n, len(p))
 			}
 		}
@@ -265,7 +280,7 @@ func TestResultRoundTrip(t *testing.T) {
 	// A declared lane length pointing past the payload must not panic.
 	bad := encodeResult(1, []byte{1, 2, 3, 4}, nil)
 	bad[8] = 0xff // data lane claims 255 B
-	if _, _, _, err := decodeResult(bad); err == nil {
+	if _, _, _, _, err := decodeResult(bad); err == nil {
 		t.Error("decodeResult accepted an overrunning data lane")
 	}
 }
@@ -415,14 +430,20 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(encodeResult(5, []byte{1, 2, 3, 4}, []byte{5, 6, 7, 8}))
 	f.Add(encodeResult(0, nil, nil))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(append(encodeResult(7, []byte{1, 2, 3, 4}, nil), encodeSurvivorList([]uint32{0, 3})...))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		round, data, tags, err := decodeResult(p)
+		round, data, tags, surv, err := decodeResult(p)
 		if err != nil {
 			return
 		}
-		r2, d2, t2, err := decodeResult(encodeResult(round, data, tags))
-		if err != nil || r2 != round || !bytes.Equal(d2, data) || !bytes.Equal(t2, tags) {
-			t.Fatalf("re-encode of decoded RESULT diverged (%v)", err)
+		// The layout is exact (no slack anywhere, trailer included), so what
+		// decodes re-encodes to the very same bytes.
+		q := encodeResult(round, data, tags)
+		if surv != nil {
+			q = append(q, encodeSurvivorList(surv)...)
+		}
+		if !bytes.Equal(q, p) {
+			t.Fatalf("re-encode of decoded RESULT diverged: %x -> %x", p, q)
 		}
 	})
 }

@@ -32,9 +32,8 @@ type participant struct {
 	submitted bool
 	evicted   bool // straggler cut at the deadline under a quorum policy
 
-	// Protocol v2 identity (from HELLO / SURVIVORS), consulted when a
-	// degraded round needs to name its survivor set.
-	version  uint16
+	// Identity from HELLO / SURVIVORS, consulted when a degraded round
+	// needs to name its survivor set.
 	rank     int      // key-schedule rank (-1 unknown)
 	degraded bool     // FlagDegradedOK: can verify/open a survivor-set RESULT
 	covers   []uint32 // explicit rank coverage (federation leaf); nil = {rank}
@@ -100,7 +99,7 @@ type roundState struct {
 	// sealing the survivor union and closing doneCh with a nil abortErr.
 	degrading bool
 	survivors int         // delivered participants at the degrade point
-	evictErr  *AbortError // handed to the evicted (and to v1 survivors)
+	evictErr  *AbortError // handed to the evicted (and to survivors without FlagDegradedOK)
 	survSet   []uint32    // survivor rank union; nil = complete aggregate
 	resultSur []byte      // encoded RESULT survivor trailer (resultVectors)
 
@@ -241,7 +240,7 @@ func (r *roundState) markLost(p *participant) bool {
 // finalization. The round is partial when stragglers were evicted here or
 // when any participant relayed coverage it declared incomplete (a leaf
 // gateway whose own cohort degraded below us); a complete round leaves
-// survSet nil so its RESULT stays bit-identical to protocol v1. Returns
+// survSet nil so its RESULT carries no survivor trailer. Returns
 // false when the surviving set cannot be expressed on the wire — a survivor
 // of unknown rank, or two participants claiming the same rank.
 func (r *roundState) sealSurvivorsLocked() bool {
@@ -528,8 +527,7 @@ func (r *roundState) resultSurvivors() []uint32 {
 // resultVectors returns the five slices whose concatenation is the RESULT
 // payload: the 12-byte round-id/data-length prefix, the data lane, the
 // 4-byte tag-length word, the tag lane, and — degraded rounds only — the
-// survivor-set trailer (nil for a complete round, keeping the payload
-// bit-identical to protocol v1). The prefixes and trailer are encoded
+// survivor-set trailer (nil for a complete round). The prefixes and trailer are encoded
 // exactly once per round regardless of participant count; the lanes are the
 // round's accumulators themselves, referenced zero-copy. Callable only
 // after the round's outcome (and relay, if federated) has resolved — from
@@ -588,8 +586,8 @@ func (r *roundState) leave(p *participant) (left, empty bool) {
 // coverage), the round *completes* over the delivered set — the evicted
 // stragglers' staged lanes are discarded unfolded, the RESULT names the
 // survivor union explicitly, and clients cancel exactly the missing ranks'
-// noise. When the delivered set is not degradable (a v1 client among the
-// survivors, unknown ranks), the round falls back to the evict-and-retry
+// noise. When the delivered set is not degradable (a survivor without
+// FlagDegradedOK, unknown ranks), the round falls back to the evict-and-retry
 // failure above rather than shipping an unopenable aggregate.
 func (r *roundState) expire(timeout time.Duration) {
 	r.mu.Lock()
@@ -672,11 +670,10 @@ type roundManager struct {
 	open   map[int]*roundState // cohort → collecting round; absent when none or sealed
 }
 
-// partMeta is the protocol identity a HELLO carries into join: the wire
-// version the client spoke, its key-schedule rank (-1 unknown), and whether
-// it declared itself able to verify and open a survivor-set RESULT.
+// partMeta is the protocol identity a HELLO carries into join: the
+// client's key-schedule rank (-1 unknown) and whether it declared itself
+// able to verify and open a survivor-set RESULT.
 type partMeta struct {
-	version    uint16
 	rank       int
 	degradedOK bool
 }
@@ -731,7 +728,7 @@ func (m *roundManager) join(conn net.Conn, params roundParams, epoch uint64, coh
 		r.timer = time.AfterFunc(timeout, func() { r.expire(timeout) })
 		m.open[cohort] = r
 	}
-	p := &participant{conn: conn, parked: true, version: pm.version, rank: pm.rank, degraded: pm.degradedOK}
+	p := &participant{conn: conn, parked: true, rank: pm.rank, degraded: pm.degradedOK}
 	r.mu.Lock()
 	p.slot = len(r.parts) // assigned under the lock: pre-fill leaves renumber
 	r.parts = append(r.parts, p)

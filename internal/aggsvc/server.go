@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sort"
@@ -59,9 +60,12 @@ const (
 // Defaults for Config zero values.
 const (
 	DefaultRoundTimeout = 10 * time.Second
-	DefaultWriteTimeout = 30 * time.Second
 	DefaultChunkBytes   = 64 << 10
 )
+
+// DefaultWriteTimeout bounds any single outgoing frame so one stuck client
+// cannot wedge a handler.
+const DefaultWriteTimeout = 30 * time.Second
 
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("aggsvc: server closed")
@@ -90,17 +94,14 @@ type Config struct {
 	// mid-submit never touches the accumulator), the evicted stragglers'
 	// lanes are discarded, and the RESULT names the survivor rank set
 	// explicitly so clients cancel exactly the missing ranks' noise
-	// (protocol v2, shared-group keys). Survivors that cannot open a
-	// partial aggregate — v1 clients, or v2 clients without rank-key
-	// derivation — receive the retryable AbortStraggler instead of an
-	// unopenable RESULT; if any such client is *among* the survivors the
-	// whole round falls back to evict-and-retry, since a degraded RESULT
-	// would strand it. Requires Quorum ≥ 1. The default (false) preserves
-	// fail-closed semantics exactly.
+	// (shared-group keys). Survivors that cannot open a partial aggregate —
+	// clients that did not set FlagDegradedOK in HELLO — receive the
+	// retryable AbortStraggler instead of an unopenable RESULT; if any such
+	// client is *among* the survivors the whole round falls back to
+	// evict-and-retry, since a degraded RESULT would strand it. Requires
+	// Quorum ≥ 1. The default (false) preserves fail-closed semantics
+	// exactly.
 	DegradedRounds bool
-	// WriteTimeout bounds any single outgoing frame so one stuck client
-	// cannot wedge a handler (default 30s).
-	WriteTimeout time.Duration
 	// MaxFrameBytes rejects larger frames before reading their payload
 	// (default 16 MiB). It must accommodate the RESULT frame.
 	MaxFrameBytes int
@@ -159,9 +160,6 @@ func (c *Config) fill() error {
 	}
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = DefaultRoundTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
 	}
 	if c.MaxFrameBytes <= 0 {
 		c.MaxFrameBytes = DefaultMaxFrameBytes
@@ -499,15 +497,15 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case FrameHello:
-			if plen != helloPayloadBytes && plen != helloPayloadBytesV2 {
+			if plen != helloPayloadBytes {
 				s.writeAbort(conn, &AbortError{Code: AbortProtocol, Msg: "malformed HELLO"})
 				return
 			}
-			var p [helloPayloadBytesV2]byte
-			if _, err := io.ReadFull(conn, p[:plen]); err != nil {
+			var p [helloPayloadBytes]byte
+			if _, err := io.ReadFull(conn, p[:]); err != nil {
 				return
 			}
-			h, err := decodeHello(p[:plen])
+			h, err := decodeHello(p[:])
 			if err != nil {
 				s.writeAbort(conn, &AbortError{Code: AbortProtocol, Msg: err.Error()})
 				return
@@ -524,7 +522,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // admit validates a HELLO against this gateway's configuration.
 func (s *Server) admit(h helloFrame) *AbortError {
-	if h.Version != ProtocolVersion && h.Version != ProtocolV1 {
+	if h.Version != ProtocolVersion {
 		return &AbortError{Code: AbortVersion,
 			Msg: fmt.Sprintf("client speaks protocol v%d, server v%d", h.Version, ProtocolVersion)}
 	}
@@ -538,6 +536,11 @@ func (s *Server) admit(h helloFrame) *AbortError {
 	}
 	if h.Elems <= 0 {
 		return &AbortError{Code: AbortProtocol, Msg: fmt.Sprintf("non-positive vector length %d", h.Elems)}
+	}
+	if h.Epoch == math.MaxUint64 {
+		// JOIN names max(HELLO epochs)+1, which would wrap to 0 — and 0 tells
+		// a sealer "advance exactly once".
+		return &AbortError{Code: AbortProtocol, Msg: "HELLO epoch would wrap the seal epoch"}
 	}
 	if s.cfg.Elems > 0 && h.Elems != s.cfg.Elems {
 		return &AbortError{Code: AbortMismatch,
@@ -564,7 +567,7 @@ func (s *Server) serveRound(conn net.Conn, h helloFrame, cohort int) bool {
 	}
 	folds := laneFolds[h.Scheme]
 	r, part, created, aerr := s.rm.join(conn, roundParams{scheme: h.Scheme, elems: h.Elems, tagged: h.tagged()},
-		h.Epoch, cohort, partMeta{version: h.Version, rank: h.Rank, degradedOK: h.degradedOK()})
+		h.Epoch, cohort, partMeta{rank: h.Rank, degradedOK: h.degradedOK()})
 	if aerr != nil {
 		s.writeAbort(conn, aerr)
 		return false
@@ -951,8 +954,8 @@ func (s *Server) finishRound(conn net.Conn, r *roundState, part *participant) bo
 		return true
 	}
 	if surv != nil && !part.degraded {
-		// This survivor cannot open a partial aggregate (protocol v1, or no
-		// rank-key derivation); a RESULT it would silently mis-open must
+		// This survivor cannot open a partial aggregate (its HELLO lacked
+		// FlagDegradedOK); a RESULT it would silently mis-open must
 		// never leave the gateway. Retryable: the next round may complete
 		// fully.
 		s.writeAbort(conn, &AbortError{Round: r.id, Code: AbortStraggler,
@@ -982,7 +985,7 @@ func (s *Server) writeWithDeadline(conn net.Conn, t FrameType, payload ...[]byte
 }
 
 func (s *Server) writeBufWithDeadline(b *wireBuf, conn net.Conn, t FrameType, payload ...[]byte) error {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	defer conn.SetWriteDeadline(time.Time{})
 	n := frameHeaderBytes
 	for _, p := range payload {

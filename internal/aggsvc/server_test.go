@@ -271,21 +271,19 @@ func TestRoundRecoversAfterDeadline(t *testing.T) {
 	}
 }
 
-func TestWrongVersionHello(t *testing.T) {
-	startVersioned := func() net.Conn {
-		_, l := startPipeServer(t, Config{Group: 1})
-		conn, err := l.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		return conn
-	}
-	conn := startVersioned()
-	hello := encodeHello(helloFrame{Version: 99, Scheme: SchemeInt64Sum, Elems: 8})
-	if err := writeFrame(conn, FrameHello, hello); err != nil {
+// expectHelloRefused sends one HELLO payload to a fresh single-client
+// gateway and demands a typed ABORT with the given code.
+func expectHelloRefused(t *testing.T, payload []byte, want AbortCode) {
+	t.Helper()
+	_, l := startPipeServer(t, Config{Group: 1})
+	conn, err := l.Dial()
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	// A bad length is refused on the frame header alone, and net.Pipe is
+	// synchronous: the payload write may never be read.
+	go writeFrame(conn, FrameHello, payload)
 	ft, p, err := readFrame(conn, DefaultMaxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +295,13 @@ func TestWrongVersionHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aerr.Code != AbortVersion {
-		t.Errorf("abort code %s, want %s", aerr.Code, AbortVersion)
+	if aerr.Code != want {
+		t.Errorf("abort code %s, want %s", aerr.Code, want)
 	}
+}
+
+func TestWrongVersionHello(t *testing.T) {
+	expectHelloRefused(t, encodeHello(helloFrame{Version: 99, Scheme: SchemeInt64Sum, Elems: 8}), AbortVersion)
 }
 
 // A frame declaring a payload beyond the limit is refused before any

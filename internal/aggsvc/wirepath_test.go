@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -218,8 +219,8 @@ func TestFrameCodecAllocFree(t *testing.T) {
 	resultPayload := encodeResult(12, make([]byte, 4096), make([]byte, 4096))
 	cases := map[string]func(){
 		"hello": func() {
-			putHello(scratch[:helloPayloadBytesV2], h)
-			if _, err := decodeHello(scratch[:helloPayloadBytesV2]); err != nil {
+			putHello(scratch[:helloPayloadBytes], h)
+			if _, err := decodeHello(scratch[:helloPayloadBytes]); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -236,7 +237,7 @@ func TestFrameCodecAllocFree(t *testing.T) {
 			}
 		},
 		"result-decode": func() {
-			if _, _, _, err := decodeResult(resultPayload); err != nil {
+			if _, _, _, _, err := decodeResult(resultPayload); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -428,6 +429,136 @@ func TestInPlaceFoldBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// coverUplink is echoUplink that also records the coverage the leaf
+// declares upstream — the union of its participants' covers.
+type coverUplink struct {
+	echoUplink
+	covers   chan []uint32
+	complete chan bool
+}
+
+func (u coverUplink) Relay(data, tags []byte, covers []uint32, complete bool) ([]byte, []byte, []uint32, error) {
+	u.covers <- covers
+	u.complete <- complete
+	return u.echoUplink.Relay(data, tags, covers, complete)
+}
+
+// TestLaneLevelClientMatchesAggregate pins that there is one client round
+// engine: the same fixed lanes driven through the lane-level Join/Exchange
+// (what a federation relay speaks) come back byte-identical to what
+// Aggregate hands a sealer's Verify, tagged and untagged, and a Coverage
+// passed to Exchange lands on the gateway as that participant's covers.
+func TestLaneLevelClientMatchesAggregate(t *testing.T) {
+	const group, elems, laneBytes = 2, 300, 300 * 8
+	for _, tagged := range []bool{false, true} {
+		_, l := startPipeServer(t, Config{Group: group, ChunkBytes: 1024})
+		lanes := make([]*fixedSealer, group)
+		for i := range lanes {
+			lanes[i] = &fixedSealer{scheme: SchemeInt64Sum, cipher: make([]byte, laneBytes)}
+			for j := range lanes[i].cipher {
+				lanes[i].cipher[j] = byte((i + 3) * (j + 7))
+			}
+			if tagged {
+				lanes[i].tags = make([]byte, laneBytes)
+				for j := 0; j+8 <= laneBytes; j += 8 {
+					word := uint64(i+5) * uint64(j+1) * 0x9e3779b9 % ((1 << 61) - 1)
+					binary.LittleEndian.PutUint64(lanes[i].tags[j:], word)
+				}
+			}
+		}
+		// laneRound drives both participants through Join/Exchange against l
+		// and returns copies of what each received.
+		laneRound := func(l *PipeListener, cov []*Coverage) (data, tags [][]byte) {
+			t.Helper()
+			data, tags = make([][]byte, group), make([][]byte, group)
+			done := make(chan error, group)
+			for i := range lanes {
+				go func(i int) {
+					conn, err := l.Dial()
+					if err != nil {
+						done <- err
+						return
+					}
+					defer conn.Close()
+					conn.SetDeadline(time.Now().Add(10 * time.Second))
+					c := NewClient(conn, nil, ClientOptions{})
+					tk, err := c.Join(RoundSpec{Scheme: SchemeInt64Sum, Elems: elems, Tagged: tagged, Rank: -1})
+					if err != nil {
+						done <- err
+						return
+					}
+					if tk.Group != group || tk.Epoch == 0 {
+						done <- fmt.Errorf("ticket %+v: want group %d and a non-zero seal epoch", tk, group)
+						return
+					}
+					red, err := c.Exchange(tk, lanes[i].cipher, lanes[i].tags, cov[i])
+					if err != nil {
+						done <- err
+						return
+					}
+					if red.Survivors != nil {
+						done <- fmt.Errorf("complete round named survivors %v", red.Survivors)
+						return
+					}
+					data[i] = append([]byte(nil), red.Data...)
+					tags[i] = append([]byte(nil), red.Tags...)
+					done <- nil
+				}(i)
+			}
+			for range lanes {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			return data, tags
+		}
+
+		done := make(chan error, group)
+		for _, fs := range lanes {
+			go func(fs *fixedSealer) {
+				conn, err := l.Dial()
+				if err != nil {
+					done <- err
+					return
+				}
+				defer conn.Close()
+				c := NewClient(conn, fs, ClientOptions{Timeout: 10 * time.Second})
+				_, err = c.Aggregate(make([]int64, elems), make([]int64, elems))
+				done <- err
+			}(fs)
+		}
+		for range lanes {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, tags := laneRound(l, make([]*Coverage, group))
+		for i, fs := range lanes {
+			if len(fs.gotData) != laneBytes || !bytes.Equal(data[i], fs.gotData) {
+				t.Errorf("tagged=%v participant %d: Exchange data lane differs from Aggregate's", tagged, i)
+			}
+			if !bytes.Equal(tags[i], fs.gotTags) || (len(tags[i]) != 0) != tagged {
+				t.Errorf("tagged=%v participant %d: Exchange tag lane differs from Aggregate's", tagged, i)
+			}
+		}
+
+		// Coverage: a leaf forwards the union of its participants' covers
+		// upstream, so what Relay is handed is what Exchange declared.
+		up := coverUplink{covers: make(chan []uint32, 1), complete: make(chan bool, 1)}
+		_, leaf := startPipeServer(t, Config{Group: group, ChunkBytes: 1024,
+			Uplink: func(int) (UplinkRound, error) { return up, nil }})
+		cdata, _ := laneRound(leaf, []*Coverage{{Ranks: []uint32{4, 1}, Complete: true}, {Ranks: []uint32{9}, Complete: true}})
+		if got := <-up.covers; !reflect.DeepEqual(got, []uint32{1, 4, 9}) || !<-up.complete {
+			t.Errorf("tagged=%v: leaf relayed coverage %v, want [1 4 9] complete", tagged, got)
+		}
+		for i := range cdata {
+			if !bytes.Equal(cdata[i], data[i]) {
+				t.Errorf("tagged=%v participant %d: SURVIVORS frame changed the reduced lane", tagged, i)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package hear
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -160,26 +159,10 @@ func (c *Context) verifiedAttempt(comm *mpi.Comm, verifier *homac.Vector, send, 
 	}
 	c.st.Advance()
 
-	// Encrypt the data lane.
-	buf := marshal64(send)
-	cipher := make([]byte, n*8)
-	if err := s.Encrypt(c.st, buf, cipher, n); err != nil {
+	cipher, tagBytes, err := c.sealLanes(s, verifier, send)
+	if err != nil {
 		return err
 	}
-	// Tag the ciphertext lane.
-	lanes := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-	}
-	tags := make([]uint64, n)
-	if err := verifier.Tag(c.st, lanes, tags); err != nil {
-		return err
-	}
-	tagBytes := make([]byte, n*8)
-	for i, t := range tags {
-		binary.LittleEndian.PutUint64(tagBytes[i*8:], t)
-	}
-
 	// The network reduces both lanes: data mod 2^64, tags mod p.
 	if err := c.reduceVerifiedLanes(comm, s, cipher, tagBytes, n, path); err != nil {
 		return err
@@ -187,20 +170,11 @@ func (c *Context) verifiedAttempt(comm *mpi.Comm, verifier *homac.Vector, send, 
 	if c.faultInjector != nil {
 		c.faultInjector(cipher)
 	}
-
 	// Verify before decrypting.
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-		tags[i] = binary.LittleEndian.Uint64(tagBytes[i*8:])
-	}
-	if bad := verifier.Verify(c.st, lanes, tags, c.size); bad >= 0 {
-		return &ErrVerificationFailed{Element: bad}
-	}
-	if err := s.Decrypt(c.st, cipher, buf, n); err != nil {
+	if err := c.verifyLanes(verifier, cipher, tagBytes, nil, c.size); err != nil {
 		return err
 	}
-	unmarshal64(buf, recv[:n])
-	return nil
+	return c.openLanes(s, cipher, recv, nil)
 }
 
 // reduceVerifiedLanes reduces the (ciphertext, tag) pair over one ladder
