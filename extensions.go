@@ -271,6 +271,21 @@ type GatewaySealer struct {
 	ctx      *Context
 	kind     SchemeKind
 	verifier *homac.Vector
+	s        core.Scheme // resolved on first use; see scheme
+	sealed   int         // element count of the last Seal: the only lane length Verify and Open accept
+}
+
+// scheme resolves the sealer's scheme instance once: Context.Scheme formats
+// a cache key per call, which would be the round's only allocation.
+func (g *GatewaySealer) scheme() (core.Scheme, error) {
+	if g.s == nil {
+		s, err := g.ctx.Scheme(g.kind)
+		if err != nil {
+			return nil, err
+		}
+		g.s = s
+	}
+	return g.s, nil
 }
 
 // NewGatewaySealer builds the gateway adapter for this context under the
@@ -337,7 +352,7 @@ const maxSealEpochLead = 1 << 16
 // regression would reuse PRF streams. An epoch more than maxSealEpochLead
 // ahead is refused too, before the key moves at all.
 func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, err error) {
-	s, err := g.ctx.Scheme(g.kind)
+	s, err := g.scheme()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,8 +374,19 @@ func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, e
 	if err != nil {
 		return nil, nil, err
 	}
+	g.sealed = len(vals)
 	g.ctx.mx.sealOps.Inc()
 	return cipher, tags, nil
+}
+
+// checkLane refuses a reduced lane that is not exactly the sealed vector's
+// length: a shorter one would verify or open a prefix and leave the rest of
+// the caller's result stale, a longer or ragged one is not this round's.
+func (g *GatewaySealer) checkLane(what string, lane []byte) error {
+	if len(lane) != 8*g.sealed {
+		return fmt.Errorf("hear: reduced %s lane is %d B, want %d B (%d sealed elements)", what, len(lane), 8*g.sealed, g.sealed)
+	}
+	return nil
 }
 
 // Verify checks a reduced (ciphertext, tag) lane pair against this rank's
@@ -373,6 +399,12 @@ func (g *GatewaySealer) Verify(reducedCipher, reducedTags []byte) error {
 
 // verify runs verifyLanes and counts a HoMAC mismatch.
 func (g *GatewaySealer) verify(reducedCipher, reducedTags []byte, missing []int, wraps int) error {
+	if g.verifier == nil {
+		return nil
+	}
+	if err := g.checkLane("ciphertext", reducedCipher); err != nil {
+		return err
+	}
 	err := g.ctx.verifyLanes(g.verifier, reducedCipher, reducedTags, missing, wraps)
 	if _, mismatch := err.(*ErrVerificationFailed); mismatch { // returned bare by verifyLanes
 		g.ctx.mx.verifyFailures.Inc()
@@ -388,8 +420,11 @@ func (g *GatewaySealer) Open(reduced []byte, out []int64) error {
 }
 
 func (g *GatewaySealer) open(reduced []byte, out []int64, missing []int) error {
-	s, err := g.ctx.Scheme(g.kind)
+	s, err := g.scheme()
 	if err != nil {
+		return err
+	}
+	if err := g.checkLane("ciphertext", reduced); err != nil {
 		return err
 	}
 	if err := g.ctx.openLanes(s, reduced, out, missing); err != nil {
@@ -401,53 +436,61 @@ func (g *GatewaySealer) open(reduced []byte, out []int64, missing []int) error {
 
 // The three helpers below are the key side of one verified round — seal,
 // verify, open over little-endian 64-bit lanes — shared by GatewaySealer
-// and the in-process verified allreduce (verifiedAttempt), so the lane
-// conversion exists once.
+// and the in-process verified allreduce (verifiedAttempt). They work in the
+// context's lane scratch, so a steady-state round allocates nothing.
 
-// lanes64 views a little-endian byte lane as words.
-func lanes64(b []byte) []uint64 {
-	w := make([]uint64, len(b)/8)
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return w
+// laneScratch holds one verified round's three lanes, each grown to its
+// high-water mark and kept (like syncBuf, but uncapped: a sealer's rounds
+// are all the size the gateway group agreed on). cipher and tags are what
+// sealLanes hands out, valid until the next sealLanes; plain is openLanes'
+// decrypt target and never leaves it.
+type laneScratch struct {
+	cipher, tags, plain []byte
 }
 
-// sealLanes encrypts vals under s at the current key epoch and, with a
-// verifier, tags the ciphertext.
+// growLane returns *buf resized to n bytes, reallocating geometrically on a
+// new high-water mark only.
+func growLane(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		size := 4 << 10
+		for size < n {
+			size <<= 1
+		}
+		*buf = make([]byte, size)
+	}
+	return (*buf)[:n]
+}
+
+// sealLanes encrypts vals under s at the current key epoch — marshalled
+// once, into the buffer it is encrypted in — and, with a verifier, tags the
+// ciphertext. The lanes are context scratch: valid until the next call.
 func (c *Context) sealLanes(s core.Scheme, verifier *homac.Vector, vals []int64) (cipher, tags []byte, err error) {
 	n := len(vals)
-	cipher = make([]byte, n*8)
-	if err := s.Encrypt(c.st, marshal64(vals), cipher, n); err != nil {
+	cipher = growLane(&c.lanes.cipher, n*8)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(cipher[i*8:], uint64(v))
+	}
+	if err := s.Encrypt(c.st, cipher, cipher, n); err != nil {
 		return nil, nil, err
 	}
 	if verifier == nil {
 		return cipher, nil, nil
 	}
-	sigma := make([]uint64, n)
-	if err := verifier.Tag(c.st, lanes64(cipher), sigma); err != nil {
+	tags = growLane(&c.lanes.tags, n*8)
+	if err := verifier.TagBytes(c.st, cipher, tags); err != nil {
 		return nil, nil, err
-	}
-	tags = make([]byte, n*8)
-	for i, t := range sigma {
-		binary.LittleEndian.PutUint64(tags[i*8:], t)
 	}
 	return cipher, tags, nil
 }
 
-// verifyLanes checks a reduced (ciphertext, tag) lane pair; missing lists
-// the ranks absent from a degraded aggregate (nil = complete) and wraps
-// bounds the data lane's 2^64 wraps (the contributor count). A nil verifier
-// accepts anything.
+// verifyLanes checks a reduced (ciphertext, tag) lane pair of one length;
+// missing lists the ranks absent from a degraded aggregate (nil = complete)
+// and wraps bounds the data lane's 2^64 wraps (the contributor count).
 func (c *Context) verifyLanes(verifier *homac.Vector, cipher, tags []byte, missing []int, wraps int) error {
-	if verifier == nil {
-		return nil
+	if len(tags) != len(cipher) {
+		return fmt.Errorf("hear: reduced tag lane is %d B, ciphertext lane %d B", len(tags), len(cipher))
 	}
-	n := len(cipher) / 8
-	if len(tags) < n*8 {
-		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(tags), n)
-	}
-	bad, err := verifier.VerifySubset(c.st, missing, lanes64(cipher), lanes64(tags[:n*8]), wraps)
+	bad, err := verifier.VerifySubsetBytes(c.st, missing, cipher, tags, wraps)
 	if err != nil {
 		return err
 	}
@@ -457,15 +500,17 @@ func (c *Context) verifyLanes(verifier *homac.Vector, cipher, tags []byte, missi
 	return nil
 }
 
-// openLanes decrypts a reduced ciphertext lane into out. With missing
-// ranks, their noise is first folded back into a scratch copy
-// (core.SubsetCanceler), after which the scheme's standard decrypt applies.
+// openLanes decrypts a reduced ciphertext lane into out by way of the
+// context's plain scratch; reduced itself (the gateway client's read
+// buffer) is left as it came. With missing ranks, their noise is first
+// folded back into the scratch copy (core.SubsetCanceler), after which the
+// scheme's standard decrypt applies in place.
 func (c *Context) openLanes(s core.Scheme, reduced []byte, out []int64, missing []int) error {
 	n := len(reduced) / 8
 	if len(out) < n {
 		return fmt.Errorf("hear: out %d < %d elements", len(out), n)
 	}
-	buf := make([]byte, n*8)
+	buf := growLane(&c.lanes.plain, n*8)
 	if len(missing) > 0 {
 		sc, ok := s.(core.SubsetCanceler)
 		if !ok {
@@ -509,7 +554,7 @@ func (g *GatewaySealer) AcceptsDegraded() bool {
 	if !g.ctx.st.CanDeriveRankKeys() {
 		return false
 	}
-	s, err := g.ctx.Scheme(g.kind)
+	s, err := g.scheme()
 	if err != nil {
 		return false
 	}

@@ -2,11 +2,14 @@ package hear
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"hear/internal/core/fold"
+	"hear/internal/homac"
 	"hear/internal/mpi"
+	"hear/internal/prf"
 )
 
 // Regression: Options{EnableP2P: true} with a nil Rand used to dereference
@@ -200,6 +203,180 @@ func TestSealRefusesRunawayEpoch(t *testing.T) {
 		}
 		if got[0] != 3 || got[1] != 1 {
 			t.Errorf("aggregate after epoch %d = %v, want [3 1]", epoch, got)
+		}
+	}
+}
+
+// TestGatewaySealerRefusesWrongLaneLength: a reduced lane that is not
+// exactly as long as the sealed vector used to verify or open as a prefix
+// (n = len/8) and return nil with the rest of the result stale. Short, long
+// and ragged lanes are all refused now, by the plain and the survivor forms,
+// and out is left untouched.
+func TestGatewaySealerRefusesWrongLaneLength(t *testing.T) {
+	const P, n = 3, 16
+	w := mpi.NewWorld(P)
+	ctxs, err := Init(w, Options{SharedGroupKeys: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier, err := NewVerifier(0xabcdef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealers := make([]*GatewaySealer, P)
+	inputs := make([][]int64, P)
+	for i := range sealers {
+		sealers[i] = ctxs[i].NewGatewaySealer(verifier)
+		inputs[i] = make([]int64, n)
+		for j := range inputs[i] {
+			inputs[i][j] = int64(i + j)
+		}
+	}
+	cipher, tags := gatewayFold(t, sealers, inputs)
+	all := []int{0, 1, 2}
+	g := sealers[1]
+	long := func(lane []byte) []byte { return append(append([]byte(nil), lane...), make([]byte, 8)...) }
+	for _, tc := range []struct {
+		name         string
+		cipher, tags []byte
+	}{
+		{"short", cipher[:8*(n-1)], tags[:8*(n-1)]},
+		{"long", long(cipher), long(tags)},
+		{"ragged", cipher[:8*n-3], tags[:8*n-3]},
+		{"short tags", cipher, tags[:8*(n-1)]},
+		{"long tags", cipher, long(tags)},
+		{"no tags", cipher, nil},
+	} {
+		if err := g.Verify(tc.cipher, tc.tags); err == nil {
+			t.Errorf("%s: Verify accepted lanes of %d B / %d B for %d sealed elements", tc.name, len(tc.cipher), len(tc.tags), n)
+		} else if _, mismatch := err.(*ErrVerificationFailed); mismatch {
+			t.Errorf("%s: Verify reported a HoMAC mismatch, want a length error: %v", tc.name, err)
+		}
+		if err := g.VerifySurvivors(tc.cipher, tc.tags, all); err == nil {
+			t.Errorf("%s: VerifySurvivors accepted the lanes", tc.name)
+		}
+		if len(tc.cipher) == len(cipher) {
+			continue
+		}
+		out := make([]int64, n+1)
+		for i := range out {
+			out[i] = -99
+		}
+		if err := g.Open(tc.cipher, out); err == nil {
+			t.Errorf("%s: Open accepted a %d B lane for %d sealed elements", tc.name, len(tc.cipher), n)
+		}
+		if err := g.OpenSurvivors(tc.cipher, out, all); err == nil {
+			t.Errorf("%s: OpenSurvivors accepted the lane", tc.name)
+		}
+		for i, v := range out {
+			if v != -99 {
+				t.Fatalf("%s: refused Open wrote out[%d] = %d", tc.name, i, v)
+			}
+		}
+	}
+	// The exact lanes still verify and open.
+	if err := g.Verify(cipher, tags); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, n)
+	if err := g.Open(cipher, out); err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range out {
+		if want := int64(3*j + 3); v != want {
+			t.Fatalf("elem %d = %d, want %d", j, v, want)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// where sync.Pool drops items by design and pooled paths allocate.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi != nil {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestSealerAllocs pins the sealer's steady state: once the context's lane
+// scratch has grown to the round size, Seal + Verify + Open allocate
+// nothing on a software PRF backend — at a gw_small-sized and a
+// gw_cascade_1m-sized vector, tagged and untagged. On AES-fast the only
+// allocations left are internal/prf's own, one CTR stream object per noise
+// or key stream, which the bound counts.
+func TestSealerAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("race-mode sync.Pool drops items; the gate runs race-free")
+	}
+	for _, backend := range []string{prf.BackendChaCha20, prf.BackendAESFast} {
+		for _, n := range []int{128, 131072} {
+			for _, tagged := range []bool{true, false} {
+				w := mpi.NewWorld(2)
+				ctxs, err := Init(w, Options{PRFBackend: backend})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var verifier *homac.Vector
+				if tagged {
+					if verifier, err = NewVerifier(0x5eed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a, b := ctxs[0].NewGatewaySealer(verifier), ctxs[1].NewGatewaySealer(verifier)
+				vals, out := make([]int64, n), make([]int64, n)
+				for i := range vals {
+					vals[i] = int64(i) - 7
+				}
+				round := func() {
+					ca, ta, err := a.Seal(vals, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cb, tb, err := b.Seal(vals, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fold.SumUint64(ca, cb)
+					if tagged {
+						fold.SumMod61(ta, tb)
+					}
+					if err := a.Verify(ca, ta); err != nil {
+						t.Fatal(err)
+					}
+					if err := a.Open(ca, out); err != nil {
+						t.Fatal(err)
+					}
+					if out[0] != -14 || out[n-1] != 2*(int64(n)-8) {
+						t.Fatalf("aggregate [%d … %d]", out[0], out[n-1])
+					}
+				}
+				round() // grow the scratch, warm the stream pools
+				// What is left is not the sealer's: each Seal advances the key
+				// schedule (keys.RankState.Advance, one PRF.Uint64 call), and
+				// AES-fast builds one CTR object per stream it opens — two
+				// seals × (2 noise + 2 key streams) + 1 verify + 1 open.
+				streams := 6.0
+				if tagged {
+					streams = 11
+				}
+				st := ctxs[0].st
+				var bs prf.BlockSource
+				perStream := testing.AllocsPerRun(10, func() { bs.Init(st.Enc, 1, 0, 8*n) })
+				perAdvance := testing.AllocsPerRun(10, func() { st.Enc.Uint64(1, 0) }) // k_p's PRF is the same backend
+				if backend == prf.BackendChaCha20 && perStream != 0 {
+					t.Fatalf("chacha20 BlockSource allocates %.1f/Init; the test's baseline moved", perStream)
+				}
+				inherent := streams*perStream + 2*perAdvance
+				if got := testing.AllocsPerRun(10, round); got > inherent {
+					t.Errorf("%s n=%d tagged=%v: two seals + verify + open allocate %.1f/round, want ≤ %.0f (%.0f streams × %.1f + 2 key advances × %.1f)",
+						backend, n, tagged, got, inherent, streams, perStream, perAdvance)
+				}
+			}
 		}
 	}
 }

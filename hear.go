@@ -148,6 +148,10 @@ type Context struct {
 	// call; see cipherBuf in allreduce.go.
 	syncBuf []byte
 
+	// lanes is the verified round's seal / open scratch (GatewaySealer and
+	// AllreduceInt64SumVerified); see laneScratch in extensions.go.
+	lanes laneScratch
+
 	// faultInjector, when set, corrupts the reduced ciphertext before
 	// HoMAC verification (testing/demo hook; see SetFaultInjector).
 	faultInjector func([]byte)

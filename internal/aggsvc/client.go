@@ -21,10 +21,18 @@ type Sealer interface {
 	// The client calls Seal only after JOIN names the round's agreed
 	// epoch, so every participant of a round seals at the same epoch even
 	// if one of them previously fell behind the key schedule.
+	//
+	// Lifetime: cipher and tags may be the sealer's own reused scratch
+	// (hear.GatewaySealer's are). They are valid until the sealer's next
+	// Seal and no longer; the client writes them to the wire before it
+	// returns from the round, re-seals on every retry, and never holds
+	// them across rounds. A caller that must keep a lane copies it.
 	Seal(vals []int64, epoch uint64) (cipher, tags []byte, err error)
-	// Verify checks the reduced lanes before they are trusted.
+	// Verify checks the reduced lanes before they are trusted. The lanes
+	// must be exactly as long as the vector last sealed.
 	Verify(reducedCipher, reducedTags []byte) error
-	// Open decrypts the reduced data lane into out.
+	// Open decrypts the reduced data lane — exactly as long as the vector
+	// last sealed — into out, leaving reduced untouched.
 	Open(reduced []byte, out []int64) error
 	// Tagged reports whether Seal will produce a tag lane; the client
 	// advertises it in HELLO, before anything is sealed.

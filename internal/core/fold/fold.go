@@ -99,7 +99,6 @@ func Xor(dst, src []byte) {
 // verification prime 2^61−1 (§5.5). Lanes must hold reduced residues; the
 // modulus is public, so tag aggregation needs no keys either.
 func SumMod61(dst, src []byte) {
-	const p = ring.MersennePrime61
 	n := len(dst)
 	if len(src) < n {
 		n = len(src)
@@ -109,21 +108,13 @@ func SumMod61(dst, src []byte) {
 		d := (*[blockBytes]byte)(dst[o:])
 		sb := (*[blockBytes]byte)(src[o:])
 		for i := 0; i < blockBytes; i += 8 {
-			s := binary.LittleEndian.Uint64(d[i:]) + binary.LittleEndian.Uint64(sb[i:])
-			if s >= p { // p < 2^61, so reduced inputs cannot overflow uint64
-				s -= p
-			}
-			binary.LittleEndian.PutUint64(d[i:], s)
+			binary.LittleEndian.PutUint64(d[i:],
+				ring.Add61(binary.LittleEndian.Uint64(d[i:]), binary.LittleEndian.Uint64(sb[i:])))
 		}
 	}
 	for ; o+8 <= n; o += 8 {
-		a := binary.LittleEndian.Uint64(dst[o:])
-		b := binary.LittleEndian.Uint64(src[o:])
-		s := a + b
-		if s >= p {
-			s -= p
-		}
-		binary.LittleEndian.PutUint64(dst[o:], s)
+		binary.LittleEndian.PutUint64(dst[o:],
+			ring.Add61(binary.LittleEndian.Uint64(dst[o:]), binary.LittleEndian.Uint64(src[o:])))
 	}
 }
 

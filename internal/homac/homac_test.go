@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hear/internal/keys"
+	"hear/internal/prf"
 	"hear/internal/ring"
 )
 
@@ -63,9 +65,105 @@ func fullRun(t *testing.T, v *Vector, p, n int, tamper func(c []uint64, tags []u
 	return v.Verify(states[0], cT, sigmaT, p), states
 }
 
+// The per-word forms below are what Tag/Verify/VerifySubset were before the
+// block kernels: one PRF.Uint64 call per key, general-prime ring.Fp
+// arithmetic (a hardware divide per Reduce and Mul) and a linear wrap
+// search. They are the bit-identity oracle — shipped code must produce the
+// same tags byte for byte and the same verdict and failing index.
+
+var fp = ring.NewFp(ring.MersennePrime61)
+
+// keyAt derives the per-ciphertext homomorphic key s[j] for stream nonce.
+func keyAt(p prf.PRF, nonce uint64, j int) uint64 {
+	return fp.Reduce(p.Uint64(nonce+macDomain, uint64(j)))
+}
+
+func tagWord(v *Vector, st *keys.RankState, cipher, tags []uint64) {
+	self, next := st.SelfNonce(), st.NextNonce()
+	for j, c := range cipher {
+		s := keyAt(st.Enc, self, j)
+		if !st.IsLast() {
+			s = fp.Sub(s, keyAt(st.Enc, next, j))
+		}
+		tags[j] = fp.Mul(fp.Sub(s, fp.Reduce(c)), v.zInv)
+	}
+}
+
+// wrapSearchWord reports whether rhs + k·2^64 ≡ want for some k ∈ [0, wraps].
+func wrapSearchWord(rhs, want uint64, wraps int) bool {
+	pow64 := fp.Reduce(1 << 63)
+	pow64 = fp.Add(pow64, pow64) // 2^64 mod p
+	for k := 0; k <= wraps; k++ {
+		if rhs == want {
+			return true
+		}
+		rhs = fp.Add(rhs, pow64)
+	}
+	return false
+}
+
+func verifySubsetWord(v *Vector, st *keys.RankState, missing []int, reducedCipher, tags []uint64, wraps int) (int, error) {
+	type run struct {
+		pos, neg uint64
+		hasNeg   bool
+	}
+	m := append([]int(nil), missing...)
+	sort.Ints(m)
+	var runs []run
+	for i := 0; i < len(m); {
+		a := m[i]
+		b := a
+		for i++; i < len(m) && m[i] == b+1; i++ {
+			b = m[i]
+		}
+		pos, err := st.RankNonce(a)
+		if err != nil {
+			return 0, err
+		}
+		r := run{pos: pos}
+		if b < st.Size-1 {
+			if r.neg, err = st.RankNonce(b + 1); err != nil {
+				return 0, err
+			}
+			r.hasNeg = true
+		}
+		runs = append(runs, r)
+	}
+	root := st.RootNonce()
+	for j := range reducedCipher {
+		want := keyAt(st.Enc, root, j)
+		for _, r := range runs {
+			want = fp.Sub(want, keyAt(st.Enc, r.pos, j))
+			if r.hasNeg {
+				want = fp.Add(want, keyAt(st.Enc, r.neg, j))
+			}
+		}
+		rhs := fp.Add(fp.Reduce(reducedCipher[j]), fp.Mul(tags[j], v.z))
+		if !wrapSearchWord(rhs, want, wraps) {
+			return j, nil
+		}
+	}
+	return -1, nil
+}
+
+func verifyWord(v *Vector, st *keys.RankState, reducedCipher, tags []uint64, wraps int) int {
+	bad, _ := verifySubsetWord(v, st, nil, reducedCipher, tags, wraps)
+	return bad
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(4, 1); err == nil {
 		t.Error("even modulus accepted")
+	}
+	// The tag folds are hard-wired to 2^61−1: any other prime, however
+	// good, yields tags that cannot round-trip and must be refused.
+	for _, p := range []uint64{3, 65537, 1<<31 - 1, 1<<61 - 3, 1<<61 + 1, 1<<64 - 59} {
+		if _, err := New(p, 5); err == nil {
+			t.Errorf("modulus %d accepted", p)
+		}
+	}
+	if v, err := New(ring.MersennePrime61, 1<<63+12345); err != nil || v.z != fp.Reduce(1<<63+12345) || fp.Mul(v.z, v.zInv) != 1 {
+		t.Errorf("wide Z: v=%+v err=%v", v, err)
 	}
 	if _, err := New(ring.MersennePrime61, 0); err == nil {
 		t.Error("zero Z accepted")
@@ -162,8 +260,8 @@ func tagNaive(v *Vector, st *keys.RankState, cipher []uint64, tags []uint64) err
 	}
 	self := st.SelfNonce()
 	for j, c := range cipher {
-		s := v.keyAt(st.Enc, self, j)
-		tags[j] = v.f.Mul(v.f.Sub(s, v.f.Reduce(c)), v.zInv)
+		s := keyAt(st.Enc, self, j)
+		tags[j] = fp.Mul(fp.Sub(s, fp.Reduce(c)), v.zInv)
 	}
 	return nil
 }
@@ -172,23 +270,13 @@ func tagNaive(v *Vector, st *keys.RankState, cipher []uint64, tags []uint64) err
 // every rank's starting key (the Θ(P) key knowledge the canceling form
 // avoids); wraps bounds the data-lane 2^64 wraps as in Verify.
 func verifyNaive(v *Vector, st *keys.RankState, allStartingKeys []uint64, reducedCipher, tags []uint64, wraps int) int {
-	pow64 := v.f.Reduce(1 << 63)
-	pow64 = v.f.Add(pow64, pow64)
 	for j := range reducedCipher {
 		var sSum uint64
 		for _, k := range allStartingKeys {
-			sSum = v.f.Add(sSum, v.keyAt(st.Enc, k+st.Collective(), j))
+			sSum = fp.Add(sSum, keyAt(st.Enc, k+st.Collective(), j))
 		}
-		rhs := v.f.Add(v.f.Reduce(reducedCipher[j]), v.f.Mul(tags[j], v.z))
-		ok := false
-		for k := 0; k <= wraps; k++ {
-			if rhs == sSum {
-				ok = true
-				break
-			}
-			rhs = v.f.Add(rhs, pow64)
-		}
-		if !ok {
+		rhs := fp.Add(fp.Reduce(reducedCipher[j]), fp.Mul(tags[j], v.z))
+		if !wrapSearchWord(rhs, sSum, wraps) {
 			return j
 		}
 	}

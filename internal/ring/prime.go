@@ -7,6 +7,50 @@ import "math/bits"
 // while keeping mulmod branch-free on 64-bit words.
 const MersennePrime61 uint64 = (1 << 61) - 1
 
+// The four functions below are Z_p for p = MersennePrime61 in shift-add
+// form: 2^61 ≡ 1 (mod p), so a value folds onto itself 61 bits down and no
+// operation needs a hardware divide. They are the arithmetic of the HoMAC
+// block kernels (internal/homac) and the tag fold (fold.SumMod61); Fp below
+// is the general-prime form they are tested against.
+
+// Reduce61 maps any 64-bit x into [0, p).
+func Reduce61(x uint64) uint64 {
+	r := (x & MersennePrime61) + (x >> 61) // ≤ p + 7
+	if r >= MersennePrime61 {
+		r -= MersennePrime61
+	}
+	return r
+}
+
+// Add61 returns x + y mod p. Inputs must already be reduced.
+func Add61(x, y uint64) uint64 {
+	s := x + y // < 2^62, cannot overflow
+	if s >= MersennePrime61 {
+		s -= MersennePrime61
+	}
+	return s
+}
+
+// Sub61 returns x − y mod p. Inputs must already be reduced.
+func Sub61(x, y uint64) uint64 {
+	d := x - y
+	if x < y {
+		d += MersennePrime61
+	}
+	return d
+}
+
+// Mul61 returns x · y mod p for x, y < 2^62 — reduced residues and the
+// unreduced edge values p, 2^61 and 2p alike. Wider words (anything read
+// off a wire) must go through Reduce61 first: the high product word is
+// shifted left by three and would lose bits.
+func Mul61(x, y uint64) uint64 {
+	hi, lo := bits.Mul64(x, y) // x·y < 2^124
+	// x·y = (x·y >> 61)·2^61 + (lo & p) ≡ their sum, < 2^63 + 2^61; it can
+	// be as large as 2p, which the second fold (Reduce61's) absorbs.
+	return Reduce61((lo & MersennePrime61) + (hi<<3 | lo>>61))
+}
+
 // Fp is the prime field Z_p for an arbitrary 64-bit prime p.
 type Fp struct {
 	P uint64

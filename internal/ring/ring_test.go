@@ -217,6 +217,49 @@ func TestFpRejectsBadModulus(t *testing.T) {
 	}
 }
 
+// TestMersenne61MatchesFp holds the shift-add Mersenne-61 operations to the
+// general-prime Fp (hardware divide) on the edge set squared — values on
+// both sides of p, 2p and the word boundary — and on seeded random pairs.
+// Mul61 is also exercised on raw operands below its 2^62 bound, where the
+// fold can reach 2p (x = p, y = p+2 gives lo&p = p and x·y>>61 = p).
+func TestMersenne61MatchesFp(t *testing.T) {
+	const p = MersennePrime61
+	f := NewFp(p)
+	check := func(x, y uint64) {
+		t.Helper()
+		if got, want := Reduce61(x), f.Reduce(x); got != want {
+			t.Fatalf("Reduce61(%#x) = %#x, want %#x", x, got, want)
+		}
+		rx, ry := f.Reduce(x), f.Reduce(y)
+		if got, want := Add61(rx, ry), f.Add(rx, ry); got != want {
+			t.Fatalf("Add61(%#x, %#x) = %#x, want %#x", rx, ry, got, want)
+		}
+		if got, want := Sub61(rx, ry), f.Sub(rx, ry); got != want {
+			t.Fatalf("Sub61(%#x, %#x) = %#x, want %#x", rx, ry, got, want)
+		}
+		if got, want := Mul61(rx, ry), f.Mul(rx, ry); got != want {
+			t.Fatalf("Mul61(%#x, %#x) = %#x, want %#x", rx, ry, got, want)
+		}
+		if x < 1<<62 && y < 1<<62 {
+			if got, want := Mul61(x, y), f.Mul(x, y); got != want {
+				t.Fatalf("Mul61(%#x, %#x) unreduced = %#x, want %#x", x, y, got, want)
+			}
+		}
+	}
+	edges := []uint64{0, 1, p - 1, p, p + 1, p + 2, 2 * p, 1 << 61, 1<<62 - 1, 1 << 63, 1<<64 - 1}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 100000; i++ {
+		x, y := rng.Uint64(), rng.Uint64()
+		check(x, y)
+		check(x>>2, y>>2) // raw operands under Mul61's bound
+	}
+}
+
 func BenchmarkZ2Pow(b *testing.B) {
 	r := NewZ2(64)
 	var sink uint64
