@@ -525,8 +525,7 @@ func (c *Context) openLanes(s core.Scheme, reduced []byte, out []int64, missing 
 	if err := s.Decrypt(c.st, reduced, buf, n); err != nil {
 		return err
 	}
-	unmarshal64(buf, out[:n])
-	return nil
+	return getInt64(buf, out[:n])
 }
 
 // --- Degraded (dropout-tolerant) rounds ----------------------------------

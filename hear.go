@@ -143,10 +143,12 @@ type Context struct {
 	eng     *engine.Engine // shared multicore cipher engine (Options.Workers)
 	mx      *ctxMetrics    // hot-path instruments; no-op when Options.Metrics is nil
 
-	// syncBuf lazily caches the sync data path's ciphertext buffer so
-	// repeated allreduces stop paying mem_alloc/mem_free (Fig. 4) per
-	// call; see cipherBuf in allreduce.go.
-	syncBuf []byte
+	// syncBuf is the sync data path's ciphertext buffer (cipherBuf) and
+	// plainBuf the plaintext staging of typed calls on inflating schemes
+	// (words.stage), both in allreduce.go. Each grows to the largest
+	// message seen and lives as long as the context; their contents are
+	// dead once the collective that filled them returns.
+	syncBuf, plainBuf []byte
 
 	// lanes is the verified round's seal / open scratch (GatewaySealer and
 	// AllreduceInt64SumVerified); see laneScratch in extensions.go.

@@ -532,19 +532,15 @@ func TestCipherBufGrowShrinkNoRealloc(t *testing.T) {
 	ctx := ctxs[0]
 	sizes := []int{64 << 10, 4 << 10, 128, 100 << 10, 32 << 10, 128 << 10, 1 << 10}
 	// Warm to the largest size in the train.
-	buf, done := ctx.cipherBuf(128 << 10)
-	if len(buf) != 128<<10 {
+	if buf := ctx.cipherBuf(128 << 10); len(buf) != 128<<10 {
 		t.Fatalf("warm buf len %d", len(buf))
 	}
-	done()
 	bad := -1
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, n := range sizes {
-			b, release := ctx.cipherBuf(n)
-			if len(b) != n {
+			if b := ctx.cipherBuf(n); len(b) != n {
 				bad = n
 			}
-			release()
 		}
 	})
 	if bad >= 0 {
@@ -553,10 +549,15 @@ func TestCipherBufGrowShrinkNoRealloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("grow/shrink train allocates %v per run, want 0", allocs)
 	}
-	// Above the pooling cap the buffer is a fresh one-shot allocation.
-	big, release := ctx.cipherBuf(5 << 20)
+	// There is no size above which the buffer stops being kept: a 5 MiB
+	// message grows it once, and every later call reuses that block.
+	big := ctx.cipherBuf(5 << 20)
 	if len(big) != 5<<20 {
-		t.Fatalf("oversized buf len %d", len(big))
+		t.Fatalf("large buf len %d", len(big))
 	}
-	release()
+	for _, n := range []int{5 << 20, 6 << 20, 128} {
+		if b := ctx.cipherBuf(n); &b[0] != &big[0] {
+			t.Errorf("cipherBuf(%d) after a 5 MiB call moved to a new block", n)
+		}
+	}
 }

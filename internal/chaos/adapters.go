@@ -13,7 +13,10 @@ import (
 // MPIInterceptor adapts the plan to the mpi runtime's delivery hook:
 // world.SetInterceptor(plan.MPIInterceptor()). Faults apply per message at
 // site (from, to, tag); Drop, Delay, Duplicate, Reorder and Corrupt are
-// supported (CrashRank is consulted via CrashPoint, not here).
+// supported (CrashRank is consulted via CrashPoint, not here). It keeps
+// mpi.Interceptor's buffer contract — the receiver recycles each delivered
+// frame — by never returning one buffer twice: Duplicate delivers a copy,
+// and a frame Reorder holds back leaves the held map when it is released.
 func (p *Plan) MPIInterceptor() mpi.Interceptor {
 	return func(from, to, tag int, data []byte) [][]byte {
 		site := siteHash(uint64(LayerMPI), uint64(from), uint64(to), uint64(tag))

@@ -151,6 +151,40 @@ func TestMPIDuplicateAndReorder(t *testing.T) {
 	}
 }
 
+// TestMPIInterceptorFramesOwnTheirBuffers holds the adapter to
+// mpi.Interceptor's ownership contract: the runtime recycles a frame's
+// buffer once its receiver has consumed it, so over a long mixed campaign —
+// duplicates, reorders, corruption and drops firing at the same sites — no
+// buffer may be delivered twice and no two frames may share one.
+func TestMPIInterceptorFramesOwnTheirBuffers(t *testing.T) {
+	var rules []Rule
+	for _, f := range []Fault{FaultDuplicate, FaultReorder, FaultCorrupt, FaultDrop} {
+		r := NewRule(LayerMPI, f)
+		r.Prob = 0.3
+		rules = append(rules, r)
+	}
+	ic := NewPlan(11, rules...).MPIInterceptor()
+	delivered := make(map[*byte]bool)
+	frames := 0
+	for i := 0; i < 4000; i++ {
+		data := make([]byte, 8, 16) // spare capacity: a frame built by append would alias
+		for _, f := range ic(i%3, (i+1)%3, i%5, data) {
+			if len(f) != len(data) {
+				t.Fatalf("call %d: frame of %d B from a %d B message", i, len(f), len(data))
+			}
+			base := &f[:1][0]
+			if delivered[base] {
+				t.Fatalf("call %d: a buffer was delivered twice", i)
+			}
+			delivered[base] = true
+			frames++
+		}
+	}
+	if frames <= 4000*7/10 {
+		t.Fatalf("%d frames from 4000 messages: duplicates or releases never fired", frames)
+	}
+}
+
 // TestINCInterceptorFaults: kill-switch permanently stalls rounds through
 // the dead switch; corrupt flips exactly one bit, deterministically.
 func TestINCInterceptorFaults(t *testing.T) {

@@ -129,7 +129,6 @@ func (c *Comm) ringAllreduce(tag int, buf []byte, count int, dt Datatype, op Op)
 	bounds := chunkBounds(count, p)
 	right := (r + 1) % p
 	left := (r - 1 + p) % p
-	scratch := make([]byte, (bounds[1]-bounds[0]+1)*dt.Size)
 
 	chunk := func(i int) (off, elems int) {
 		i = ((i % p) + p) % p
@@ -142,14 +141,9 @@ func (c *Comm) ringAllreduce(tag int, buf []byte, count int, dt Datatype, op Op)
 		sendOff, sendN := chunk(r - s)
 		recvOff, recvN := chunk(r - s - 1)
 		c.send(right, tag, buf[sendOff:sendOff+sendN*dt.Size])
-		n, err := c.recv(left, tag, scratch)
-		if err != nil {
-			return err
+		if err := c.recvFold(left, tag, buf[recvOff:recvOff+recvN*dt.Size], recvN, dt, op); err != nil {
+			return fmt.Errorf("mpi: ring step %d: %w", s, err)
 		}
-		if n != recvN*dt.Size {
-			return fmt.Errorf("mpi: ring step %d: got %d B, want %d", s, n, recvN*dt.Size)
-		}
-		foldElems(op, dt, buf[recvOff:recvOff+recvN*dt.Size], scratch[:n], recvN)
 	}
 	// Allgather: circulate the finished chunks.
 	for s := 0; s < p-1; s++ {
@@ -172,7 +166,6 @@ func (c *Comm) ringAllreduce(tag int, buf []byte, count int, dt Datatype, op Op)
 func (c *Comm) rdAllreduce(tag int, buf []byte, count int, dt Datatype, op Op) error {
 	p, r := c.Size(), c.Rank()
 	nb := count * dt.Size
-	scratch := make([]byte, nb)
 
 	p2 := 1
 	for p2*2 <= p {
@@ -186,10 +179,9 @@ func (c *Comm) rdAllreduce(tag int, buf []byte, count int, dt Datatype, op Op) e
 	case r < 2*rem && r%2 == 1:
 		c.send(r-1, tag, buf[:nb])
 	case r < 2*rem && r%2 == 0:
-		if _, err := c.recv(r+1, tag, scratch); err != nil {
+		if err := c.recvFold(r+1, tag, buf[:nb], count, dt, op); err != nil {
 			return err
 		}
-		foldElems(op, dt, buf[:nb], scratch, count)
 		newRank = r / 2
 	default:
 		newRank = r - rem
@@ -205,10 +197,9 @@ func (c *Comm) rdAllreduce(tag int, buf []byte, count int, dt Datatype, op Op) e
 				partner = partnerNew + rem
 			}
 			c.send(partner, tag, buf[:nb])
-			if _, err := c.recv(partner, tag, scratch); err != nil {
+			if err := c.recvFold(partner, tag, buf[:nb], count, dt, op); err != nil {
 				return err
 			}
-			foldElems(op, dt, buf[:nb], scratch, count)
 		}
 	}
 
@@ -228,17 +219,15 @@ func (c *Comm) rdAllreduce(tag int, buf []byte, count int, dt Datatype, op Op) e
 func (c *Comm) treeReduce(tag int, buf []byte, count int, dt Datatype, op Op) error {
 	p, r := c.Size(), c.Rank()
 	nb := count * dt.Size
-	scratch := make([]byte, nb)
 	for mask := 1; mask < p; mask <<= 1 {
 		if r&mask != 0 {
 			c.send(r-mask, tag, buf[:nb])
 			return nil
 		}
 		if r+mask < p {
-			if _, err := c.recv(r+mask, tag, scratch); err != nil {
+			if err := c.recvFold(r+mask, tag, buf[:nb], count, dt, op); err != nil {
 				return err
 			}
-			foldElems(op, dt, buf[:nb], scratch, count)
 		}
 	}
 	return nil

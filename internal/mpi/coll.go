@@ -44,7 +44,8 @@ func bitLen(x int) int {
 }
 
 // Reduce reduces count elements into recvBuf on root only. recvBuf is
-// ignored on non-root ranks (may be nil there).
+// ignored on non-root ranks (may be nil there) and may alias sendBuf on
+// root; sendBuf is never written otherwise.
 func (c *Comm) Reduce(root int, sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("mpi: reduce root %d outside world", root)
@@ -58,24 +59,28 @@ func (c *Comm) Reduce(root int, sendBuf, recvBuf []byte, count int, dt Datatype,
 	}
 	tag := c.nextCollTag()
 	// Reduce into rank 0's virtual position rooted at `root` by rotation.
+	// The root accumulates in recvBuf; every other rank accumulates in a
+	// message buffer, which it hands to its parent as the message itself.
 	p, r := c.Size(), c.Rank()
 	vrank := (r - root + p) % p
-	work := make([]byte, nb)
-	copy(work, sendBuf[:nb])
-	scratch := make([]byte, nb)
+	var acc []byte
+	if vrank == 0 {
+		acc = recvBuf[:nb]
+	} else {
+		acc = c.world.bufs.get(nb)
+	}
+	copy(acc, sendBuf[:nb])
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
-			c.send(((vrank-mask)+root)%p, tag, work)
+			c.deliver(((vrank-mask)+root)%p, tag, acc)
 			return nil
 		}
 		if vrank+mask < p {
-			if _, err := c.recv(((vrank+mask)+root)%p, tag, scratch); err != nil {
+			if err := c.recvFold(((vrank+mask)+root)%p, tag, acc, count, dt, op); err != nil {
 				return err
 			}
-			foldElems(op, dt, work, scratch, count)
 		}
 	}
-	copy(recvBuf[:nb], work)
 	return nil
 }
 

@@ -35,6 +35,15 @@ var (
 // replaced to model corruption. Returning the input unchanged is the
 // identity. It must be installed before the world runs and must be safe
 // for concurrent use (ranks send in parallel).
+//
+// Buffer ownership: data comes from the world's free list and the
+// interceptor owns it from the call on. Every frame it returns — in this
+// call or, for a frame it held back, a later one — must be a buffer of its
+// own, sharing memory with no other frame it returns or still holds: the
+// receiver of a frame recycles that frame's buffer as soon as it has
+// consumed the payload, and the next sender then writes into it. A
+// duplicate must therefore be a copy. A frame that is dropped, or held and
+// never released, is simply never recycled; the collector takes it.
 type Interceptor func(from, to, tag int, data []byte) [][]byte
 
 // SetInterceptor installs (or clears, with nil) the delivery interceptor.

@@ -15,16 +15,52 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// message is one in-flight point-to-point transfer.
+// message is one in-flight point-to-point transfer. data is owned by the
+// message: the sender copied into it, and whoever takes the message out of
+// the mailbox is the only one left holding it.
 type message struct {
 	from int
 	tag  int
 	data []byte
+}
+
+// bufPool is a world's free list of message buffers, one sync.Pool per
+// power-of-two capacity class. Ownership moves one way: the sender takes a
+// buffer and copies its payload in (sends stay eager), the mailbox holds
+// it, and the receiving goroutine puts it back once it has copied or folded
+// the payload out — never earlier, and never for a message it did not
+// consume. Retention is bounded by the garbage collector, which empties a
+// sync.Pool that goes unused.
+type bufPool struct {
+	classes [bits.UintSize]sync.Pool // class k holds *[]byte of capacity in [2^k, 2^(k+1))
+}
+
+// get returns an n-byte buffer of unspecified content.
+func (p *bufPool) get(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	k := bits.Len(uint(n - 1)) // smallest class whose every buffer holds n bytes
+	if b, ok := p.classes[k].Get().(*[]byte); ok {
+		return (*b)[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// put recycles a consumed message buffer. Any buffer is accepted (an
+// interceptor may have substituted its own); it is filed by capacity.
+func (p *bufPool) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	p.classes[bits.Len(uint(cap(b)))-1].Put(&b)
 }
 
 // mailbox is a rank's receive queue with MPI matching: messages arrive in
@@ -79,7 +115,13 @@ func (m *mailbox) get(from, tag int, timeout time.Duration, dead func(int) bool)
 	for {
 		for i, msg := range m.queue {
 			if (from == AnySource || msg.from == from) && msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				// Zero the vacated tail slot: left in place it would keep
+				// a second reference to the last message's buffer, which
+				// its receiver is about to recycle.
+				last := len(m.queue) - 1
+				copy(m.queue[i:], m.queue[i+1:])
+				m.queue[last] = message{}
+				m.queue = m.queue[:last]
 				return msg, nil
 			}
 		}
@@ -118,6 +160,7 @@ type World struct {
 	stats       []Stats
 	exited      []atomic.Bool // per-rank: goroutine returned from Run's body
 	interceptor Interceptor   // nil = deliver everything verbatim
+	bufs        bufPool       // recycled message buffers
 }
 
 // NewWorld creates a world of the given size. It panics on size < 1
@@ -235,16 +278,24 @@ func (c *Comm) Send(to, tag int, buf []byte) error {
 }
 
 // send is the internal unchecked path used by collectives. to is a
-// communicator-local rank; the wire tag must already be namespaced.
+// communicator-local rank; the wire tag must already be namespaced. The
+// copy makes the send eager — buf is the caller's again on return — and
+// lands in a recycled buffer that the receiver hands back.
 func (c *Comm) send(to, tag int, buf []byte) {
-	data := make([]byte, len(buf))
+	data := c.world.bufs.get(len(buf))
 	copy(data, buf)
+	c.deliver(to, tag, data)
+}
+
+// deliver queues data, a buffer from the world's free list that the caller
+// gives up, as one message to rank `to`.
+func (c *Comm) deliver(to, tag int, data []byte) {
 	self := c.worldRank(c.rank)
 	dst := c.worldRank(to)
 	st := &c.world.stats[self]
-	st.BytesSent.Add(uint64(len(buf)))
+	st.BytesSent.Add(uint64(len(data)))
 	st.MessagesSent.Add(1)
-	c.world.stats[dst].BytesReceived.Add(uint64(len(buf)))
+	c.world.stats[dst].BytesReceived.Add(uint64(len(data)))
 	frames := [][]byte{data}
 	if ic := c.world.interceptor; ic != nil {
 		// The interceptor owns the copy: it may mutate, drop (nil), or
@@ -277,25 +328,54 @@ func (c *Comm) Recv(from, tag int, buf []byte) (int, int, error) {
 	if len(msg.data) > len(buf) {
 		return 0, 0, fmt.Errorf("mpi: message of %d B exceeds receive buffer of %d B", len(msg.data), len(buf))
 	}
-	copy(buf, msg.data)
+	n := copy(buf, msg.data)
+	c.world.bufs.put(msg.data)
 	src := c.localRank(msg.from)
 	if src < 0 {
 		return 0, 0, fmt.Errorf("mpi: message from non-member world rank %d leaked into communicator", msg.from)
 	}
-	return len(msg.data), src, nil
+	return n, src, nil
 }
 
 // recv is the internal path used by collectives (tag already namespaced).
 func (c *Comm) recv(from, tag int, buf []byte) (int, error) {
-	msg, err := c.world.mailboxes[c.worldRank(c.rank)].get(c.worldRank(from), tag, c.RecvTimeout(), c.world.isDead)
+	msg, err := c.take(from, tag, len(buf))
 	if err != nil {
 		return 0, err
 	}
-	if len(msg.data) > len(buf) {
-		return 0, fmt.Errorf("mpi: internal message of %d B exceeds buffer of %d B", len(msg.data), len(buf))
+	n := copy(buf, msg)
+	c.world.bufs.put(msg)
+	return n, nil
+}
+
+// recvFold receives exactly count elements of dt from `from` and folds them
+// into dst with op, straight from the message buffer.
+func (c *Comm) recvFold(from, tag int, dst []byte, count int, dt Datatype, op Op) error {
+	nb := count * dt.Size
+	msg, err := c.take(from, tag, nb)
+	if err != nil {
+		return err
 	}
-	copy(buf, msg.data)
-	return len(msg.data), nil
+	if len(msg) != nb {
+		return fmt.Errorf("mpi: got %d B, want %d", len(msg), nb)
+	}
+	foldElems(op, dt, dst, msg, count)
+	c.world.bufs.put(msg)
+	return nil
+}
+
+// take blocks for the next internal message from `from` under tag and
+// returns its buffer, of at most limit bytes. The buffer is the caller's:
+// it recycles it once the payload is consumed.
+func (c *Comm) take(from, tag, limit int) ([]byte, error) {
+	msg, err := c.world.mailboxes[c.worldRank(c.rank)].get(c.worldRank(from), tag, c.RecvTimeout(), c.world.isDead)
+	if err != nil {
+		return nil, err
+	}
+	if len(msg.data) > limit {
+		return nil, fmt.Errorf("mpi: internal message of %d B exceeds buffer of %d B", len(msg.data), limit)
+	}
+	return msg.data, nil
 }
 
 // Sendrecv performs a simultaneous exchange, safe against head-on

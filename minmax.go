@@ -60,7 +60,10 @@ func (c *Context) minmax(comm *mpi.Comm, root int, send, recv []int64, pick func
 	if n == 0 {
 		return fmt.Errorf("hear: empty vector")
 	}
-	buf := marshal64(send)
+	buf := make([]byte, 8*n)
+	if err := putInt64(send, buf); err != nil {
+		return err
+	}
 	var gathered []byte
 	if c.rank == root {
 		gathered = make([]byte, c.size*len(buf))
@@ -85,6 +88,5 @@ func (c *Context) minmax(comm *mpi.Comm, root int, send, recv []int64, pick func
 	if err := c.BcastEncrypted(comm, root, result); err != nil {
 		return err
 	}
-	unmarshal64(result, recv[:n])
-	return nil
+	return getInt64(result, recv[:n])
 }

@@ -3,6 +3,7 @@ package hear
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +206,47 @@ func TestVerifiedRetryZeroKeepsOldBehavior(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllreduceUnderFabricFaults runs the typed data path — sync and
+// pipelined, ring and recursive doubling — over a fabric that drops,
+// duplicates, reorders and corrupts messages, with RecvTimeout set. An
+// unverified allreduce owes nothing about its result there; what it owes is
+// that every call returns (a typed timeout or a wrong sum, never a hang or
+// a panic). And because the runtime recycles a message buffer the moment
+// its receiver has consumed it, a duplicated or held-back frame sharing its
+// buffer with a delivered one would be a data race between that receiver's
+// successor and the next sender — which is what running this under -race
+// checks.
+func TestAllreduceUnderFabricFaults(t *testing.T) {
+	const p, rounds = 3, 6
+	for _, fault := range []chaos.Fault{chaos.FaultDrop, chaos.FaultDuplicate, chaos.FaultReorder, chaos.FaultCorrupt} {
+		for _, blockBytes := range []int{0, 1024} {
+			for _, n := range []int{40, 1500} { // recursive doubling, ring
+				rule := chaos.NewRule(chaos.LayerMPI, fault)
+				rule.Prob = 0.2
+				plan := chaos.NewPlan(0xFAB, rule)
+				w, ctxs := initWorld(t, p, Options{PipelineBlockBytes: blockBytes, RecvTimeout: 100 * time.Millisecond})
+				w.SetInterceptor(plan.MPIInterceptor())
+				err := w.Run(testTimeout, func(c *mpi.Comm) error {
+					send, recv := make([]int64, n), make([]int64, n)
+					for i := 0; i < rounds; i++ {
+						err := ctxs[c.Rank()].AllreduceInt64Sum(c, send, recv)
+						if err != nil && !errors.Is(err, mpi.ErrTimeout) && !errors.Is(err, mpi.ErrRankExited) &&
+							!strings.Contains(err.Error(), " B") { // a frame of another step's length
+							return fmt.Errorf("%v block=%d n=%d round %d: %w", fault, blockBytes, n, i, err)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.Events()) == 0 {
+					t.Fatalf("%v block=%d n=%d: the rule never fired — the test exercised nothing", fault, blockBytes, n)
+				}
+			}
+		}
 	}
 }

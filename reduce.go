@@ -9,125 +9,60 @@ package hear
 // may be arbitrary.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
-	"hear/internal/core"
 	"hear/internal/mpi"
 )
 
-// reduce is the common encrypted Reduce path: recvPlain is written on the
-// root only (and may be nil elsewhere).
-func (c *Context) reduce(comm *mpi.Comm, s core.Scheme, root int, plain, recvPlain []byte, n int) error {
+// reduceTyped is the body of every typed Reduce: the sync allreduce's
+// round (marshal into the context's ciphertext buffer, no per-call
+// buffers) with only the root decrypting; recv may be nil elsewhere.
+func reduceTyped[T any](c *Context, comm *mpi.Comm, root int, kind SchemeKind, cd codec[T], send, recv []T) error {
+	s, err := c.Scheme(kind)
+	if err != nil {
+		return err
+	}
+	if c.rank == root && len(recv) < len(send) {
+		return fmt.Errorf("hear: recv %d < send %d", len(recv), len(send))
+	}
 	if err := c.checkComm(comm); err != nil {
 		return err
 	}
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("hear: reduce root %d outside communicator", root)
 	}
-	if n <= 0 || len(plain) < n*s.PlainSize() {
-		return fmt.Errorf("hear: reduce: bad count %d or buffer %d B", n, len(plain))
-	}
-	if c.rank == root && len(recvPlain) < n*s.PlainSize() {
-		return fmt.Errorf("hear: reduce: root receive buffer %d B < %d", len(recvPlain), n*s.PlainSize())
+	n := len(send)
+	if n == 0 {
+		return fmt.Errorf("hear: reduce: empty vector")
 	}
 	c.st.Advance()
-	cipher := make([]byte, n*s.CipherSize())
-	if err := c.eng.Encrypt(s, c.st, plain, cipher, n); err != nil {
-		return err
-	}
 	op := mpi.OpFrom("hear/"+s.Name(), c.eng.ReduceFunc(s))
-	ct := mpi.CipherType(s.CipherSize())
-	var out []byte
-	if c.rank == root {
-		out = make([]byte, n*s.CipherSize())
-	}
-	if err := comm.Reduce(root, cipher, out, n, ct, op); err != nil {
-		return fmt.Errorf("hear: reduce: %w", err)
-	}
-	if c.rank != root {
+	return c.syncRound(s, words[T]{cd, send, recv}, n, c.rank == root, func(cipher []byte) error {
+		// The root reduces into its own ciphertext buffer (Comm.Reduce
+		// allows the alias); the other ranks receive nothing.
+		var out []byte
+		if c.rank == root {
+			out = cipher
+		}
+		if err := comm.Reduce(root, cipher, out, n, mpi.CipherType(s.CipherSize()), op); err != nil {
+			return fmt.Errorf("hear: reduce: %w", err)
+		}
 		return nil
-	}
-	return c.eng.Decrypt(s, c.st, out, recvPlain, n)
+	})
 }
 
 // ReduceInt64Sum reduces the element-wise wrapping sum to root; recv is
 // written on root only (nil elsewhere is fine).
 func (c *Context) ReduceInt64Sum(comm *mpi.Comm, root int, send []int64, recv []int64) error {
-	s, err := c.intSum(64)
-	if err != nil {
-		return err
-	}
-	buf := marshal64(send)
-	var out []byte
-	if c.rank == root {
-		if len(recv) < len(send) {
-			return fmt.Errorf("hear: recv %d < send %d", len(recv), len(send))
-		}
-		out = make([]byte, len(buf))
-	}
-	if err := c.reduce(comm, s, root, buf, out, len(send)); err != nil {
-		return err
-	}
-	if c.rank == root {
-		unmarshal64(out, recv[:len(send)])
-	}
-	return nil
+	return reduceTyped(c, comm, root, Int64Sum, int64Words, send, recv)
 }
 
 // ReduceFloat32Sum reduces the element-wise float sum (v1 scheme) to root.
 func (c *Context) ReduceFloat32Sum(comm *mpi.Comm, root int, send []float32, recv []float32) error {
-	s, err := c.Scheme(Float32Sum)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(send))
-	for i, v := range send {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	var out []byte
-	if c.rank == root {
-		if len(recv) < len(send) {
-			return fmt.Errorf("hear: recv %d < send %d", len(recv), len(send))
-		}
-		out = make([]byte, len(buf))
-	}
-	if err := c.reduce(comm, s, root, buf, out, len(send)); err != nil {
-		return err
-	}
-	if c.rank == root {
-		for i := range send {
-			recv[i] = math.Float32frombits(binary.LittleEndian.Uint32(out[i*4:]))
-		}
-	}
-	return nil
+	return reduceTyped(c, comm, root, Float32Sum, float32Words, send, recv)
 }
 
 // ReduceUint64Prod reduces the element-wise wrapping product to root.
 func (c *Context) ReduceUint64Prod(comm *mpi.Comm, root int, send []uint64, recv []uint64) error {
-	s, err := c.intProd(64)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(send))
-	for i, v := range send {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	var out []byte
-	if c.rank == root {
-		if len(recv) < len(send) {
-			return fmt.Errorf("hear: recv %d < send %d", len(recv), len(send))
-		}
-		out = make([]byte, len(buf))
-	}
-	if err := c.reduce(comm, s, root, buf, out, len(send)); err != nil {
-		return err
-	}
-	if c.rank == root {
-		for i := range send {
-			recv[i] = binary.LittleEndian.Uint64(out[i*8:])
-		}
-	}
-	return nil
+	return reduceTyped(c, comm, root, Int64Prod, uint64Words, send, recv)
 }

@@ -1,6 +1,7 @@
 package hear
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -132,7 +133,7 @@ func TestInitOverCommSplitWorldsDisagreeOnKeys(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		plain := marshal64([]int64{42})
+		plain := binary.LittleEndian.AppendUint64(nil, 42)
 		ca := make([]byte, 8)
 		cb := make([]byte, 8)
 		a.st.Advance()
