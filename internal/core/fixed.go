@@ -1,11 +1,34 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hear/internal/fixedpoint"
 	"hear/internal/keys"
 )
+
+// floatWire reads and writes IEEE floats by element index: 8-byte float64,
+// the fixed point schemes' plaintext, or 4-byte float32. FloatSumV2 takes
+// its exponentials and logarithms through it; FloatSum and FloatProd do
+// not touch it — hfp.Kernel reads their wire itself.
+type floatWire struct{ size int }
+
+func (w floatWire) load(buf []byte, j int) float64 {
+	if w.size == 8 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
+	}
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:])))
+}
+
+func (w floatWire) store(buf []byte, j int, x float64) {
+	if w.size == 8 {
+		binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(x))
+		return
+	}
+	binary.LittleEndian.PutUint32(buf[j*4:], math.Float32bits(float32(x)))
+}
 
 // FixedSum implements fixed point addition (§5.2): float64 wire values are
 // quantized to a shared integer grid (the implicit scaling factor agreed

@@ -5,7 +5,6 @@ import (
 
 	"hear/internal/hfp"
 	"hear/internal/keys"
-	"hear/internal/prf"
 )
 
 // FloatProd implements the floating point multiplication scheme of §5.3.2
@@ -23,8 +22,7 @@ import (
 type FloatProd struct {
 	f    hfp.Format
 	name string
-	wire floatWire
-	cell hfp.Cell // precomputed pack/unpack/noise codec (bulk fast path)
+	k    *hfp.Kernel
 }
 
 // NewFloatProd builds the multiplication scheme over base with inflation
@@ -35,7 +33,7 @@ func NewFloatProd(base hfp.Format, gamma uint) (*FloatProd, error) {
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("core: float-prod: %w", err)
 	}
-	s := &FloatProd{f: f, wire: wireFor(base), cell: f.Cell()}
+	s := &FloatProd{f: f, k: hfp.NewKernel(f)}
 	s.name = fmt.Sprintf("float%d-prod/γ=%d", 1+f.Le+f.Lm, f.Gamma)
 	return s, nil
 }
@@ -45,8 +43,8 @@ func (s *FloatProd) Format() hfp.Format { return s.f }
 
 func (s *FloatProd) Name() string { return s.name }
 
-func (s *FloatProd) PlainSize() int  { return s.wire.size }
-func (s *FloatProd) CipherSize() int { return s.f.ByteSize() }
+func (s *FloatProd) PlainSize() int  { return s.k.PlainSize() }
+func (s *FloatProd) CipherSize() int { return s.k.CellSize() }
 
 func (s *FloatProd) Encrypt(st *keys.RankState, plain, cipher []byte, n int) error {
 	return s.EncryptAt(st, plain, cipher, n, 0)
@@ -56,38 +54,19 @@ func (s *FloatProd) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off i
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	cs := s.CipherSize()
-	last := st.IsLast()
-	byteOff := uint64(off) * hfp.NoiseBytes
-	nb := n * hfp.NoiseBytes
-	ns1 := openNoise(st.Enc, st.SelfNonce(), byteOff, nb)
-	defer ns1.close()
-	var ns2 *noiseStream
-	if !last {
-		ns2 = openNoise(st.Enc, st.NextNonce(), byteOff, nb)
-		defer ns2.close()
+	fn := sealNoise(st, n, off)
+	defer fn.close()
+	return fn.seal(s.k, s.name, plain, cipher, n, 0)
+}
+
+// sealNoise opens the rank's own stream and, unless it is the last rank,
+// the next rank's canceling stream.
+func sealNoise(st *keys.RankState, n, off int) floatNoise {
+	fn := floatNoise{self: openFloatStream(st, st.SelfNonce(), n, off)}
+	if !st.IsLast() {
+		fn.next = openFloatStream(st, st.NextNonce(), n, off)
 	}
-	for done := 0; done < nb; done += prf.BlockBytes {
-		b1 := ns1.next()
-		var b2 *[prf.BlockBytes]byte
-		if !last {
-			b2 = ns2.next()
-		}
-		m := blockLen(nb, done)
-		for o := 0; o < m; o += hfp.NoiseBytes {
-			j := (done + o) / hfp.NoiseBytes
-			v, err := s.f.Encode(s.wire.load(plain, j))
-			if err != nil {
-				return fmt.Errorf("%s: element %d: %w", s.Name(), j, err)
-			}
-			noise := s.cell.Noise(b1[o:])
-			if !last {
-				noise = s.f.Div(noise, s.cell.Noise(b2[o:]))
-			}
-			s.cell.Pack(s.f.Mul(v, noise), cipher[j*cs:])
-		}
-	}
-	return nil
+	return fn
 }
 
 func (s *FloatProd) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
@@ -98,24 +77,11 @@ func (s *FloatProd) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off i
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	cs := s.CipherSize()
-	nb := n * hfp.NoiseBytes
-	ns := openNoise(st.Enc, st.RootNonce(), uint64(off)*hfp.NoiseBytes, nb)
+	ns := openFloatStream(st, st.RootNonce(), n, off)
 	defer ns.close()
-	for done := 0; done < nb; done += prf.BlockBytes {
-		b1 := ns.next()
-		m := blockLen(nb, done)
-		for o := 0; o < m; o += hfp.NoiseBytes {
-			j := (done + o) / hfp.NoiseBytes
-			c := s.cell.Unpack(cipher[j*cs:])
-			noise := s.cell.Noise(b1[o:])
-			s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
-		}
-	}
+	openFloat(s.k, ns, cipher, plain, n)
 	return nil
 }
 
-// Reduce runs the fused ⊗ fold kernel (hfp.Format.FoldMul).
-func (s *FloatProd) Reduce(dst, src []byte, n int) {
-	s.f.FoldMul(dst[:n*s.CipherSize()], src, n)
-}
+// Reduce runs the ⊗ fold kernel.
+func (s *FloatProd) Reduce(dst, src []byte, n int) { s.k.FoldMul(dst, src, n) }

@@ -24,7 +24,6 @@ import (
 type FloatSumV2 struct {
 	prod *FloatProd
 	name string
-	wire floatWire
 }
 
 // NewFloatSumV2 builds the alternative addition scheme over base with
@@ -34,7 +33,7 @@ func NewFloatSumV2(base hfp.Format, gamma uint) (*FloatSumV2, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: float-sum-v2: %w", err)
 	}
-	s := &FloatSumV2{prod: p, wire: p.wire}
+	s := &FloatSumV2{prod: p}
 	s.name = fmt.Sprintf("float%d-sum-v2/γ=%d", 1+p.f.Le+p.f.Lm, p.f.Gamma)
 	return s, nil
 }
@@ -44,7 +43,7 @@ func (s *FloatSumV2) Format() hfp.Format { return s.prod.f }
 
 func (s *FloatSumV2) Name() string { return s.name }
 
-func (s *FloatSumV2) PlainSize() int  { return s.wire.size }
+func (s *FloatSumV2) PlainSize() int  { return s.prod.PlainSize() }
 func (s *FloatSumV2) CipherSize() int { return s.prod.CipherSize() }
 
 // MaxSum returns the largest |Σx| the scheme can decode for its base
@@ -52,6 +51,12 @@ func (s *FloatSumV2) CipherSize() int { return s.prod.CipherSize() }
 func (s *FloatSumV2) MaxSum() float64 {
 	return float64(int64(1)<<(s.prod.f.Le-1)) * math.Ln2
 }
+
+// v2StageElems is how many elements the scheme exponentiates (or takes the
+// logarithm of) between calls into the product kernel: a whole number of
+// keystream blocks, small enough that the staged e^x lives on the stack
+// and is still in L1 when the kernel reads it.
+const v2StageElems = 32 * floatElemsPerBlock
 
 func (s *FloatSumV2) Encrypt(st *keys.RankState, plain, cipher []byte, n int) error {
 	return s.EncryptAt(st, plain, cipher, n, 0)
@@ -61,19 +66,26 @@ func (s *FloatSumV2) EncryptAt(st *keys.RankState, plain, cipher []byte, n, off 
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	// Encode x -> e^x into a scratch plaintext buffer, then run the
-	// multiplicative scheme over it.
-	p1, scratch := getScratch(n * s.PlainSize())
-	defer putScratch(p1)
-	for j := 0; j < n; j++ {
-		x := s.wire.load(plain, j)
-		a := math.Exp(x)
-		if a == 0 || math.IsInf(a, 0) {
-			return fmt.Errorf("%s: element %d: e^%g outside dynamic range", s.Name(), j, x)
+	fn := sealNoise(st, n, off)
+	defer fn.close()
+	ps, cs := s.PlainSize(), s.CipherSize()
+	w := floatWire{size: ps}
+	var stage [v2StageElems * 8]byte
+	for done := 0; done < n; done += v2StageElems {
+		m := min(v2StageElems, n-done)
+		for j := 0; j < m; j++ {
+			x := w.load(plain, done+j)
+			a := math.Exp(x)
+			if a == 0 || math.IsInf(a, 0) {
+				return fmt.Errorf("%s: element %d: e^%g outside dynamic range", s.Name(), done+j, x)
+			}
+			w.store(stage[:], j, a)
 		}
-		s.wire.store(scratch, j, a)
+		if err := fn.seal(s.prod.k, s.prod.name, stage[:m*ps], cipher[done*cs:], m, done); err != nil {
+			return err
+		}
 	}
-	return s.prod.EncryptAt(st, scratch, cipher, n, off)
+	return nil
 }
 
 func (s *FloatSumV2) Decrypt(st *keys.RankState, cipher, plain []byte, n int) error {
@@ -84,11 +96,17 @@ func (s *FloatSumV2) DecryptAt(st *keys.RankState, cipher, plain []byte, n, off 
 	if err := checkSpan(s.Name(), plain, cipher, n, off, s.PlainSize(), s.CipherSize()); err != nil {
 		return err
 	}
-	if err := s.prod.DecryptAt(st, cipher, plain, n, off); err != nil {
-		return err
-	}
-	for j := 0; j < n; j++ {
-		s.wire.store(plain, j, math.Log(s.wire.load(plain, j)))
+	ns := openFloatStream(st, st.RootNonce(), n, off)
+	defer ns.close()
+	ps, cs := s.PlainSize(), s.CipherSize()
+	w := floatWire{size: ps}
+	for done := 0; done < n; done += v2StageElems {
+		m := min(v2StageElems, n-done)
+		p := plain[done*ps : (done+m)*ps]
+		openFloat(s.prod.k, ns, cipher[done*cs:], p, m)
+		for j := 0; j < m; j++ {
+			w.store(p, j, math.Log(w.load(p, j)))
+		}
 	}
 	return nil
 }

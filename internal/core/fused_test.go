@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
+	"hear/internal/hfp"
 	"hear/internal/keys"
 	"hear/internal/prf"
 )
@@ -74,27 +76,49 @@ func TestFusedMatchesTwoPass(t *testing.T) {
 }
 
 // In-place operation (cipher aliasing plain) must work on the fused path —
-// the loops never revisit a byte.
+// the loops never revisit a byte. The typed entry points rely on it for
+// every zero-inflation scheme, the float kernels' block-at-a-time seal
+// (one and two streams) and open included.
 func TestFusedInPlace(t *testing.T) {
 	states := genStatesBackend(t, 2, prf.BackendChaCha20)
 	st := states[0]
 	st.Advance()
-	s, err := NewIntSum(64)
+	sum, err := NewIntSum(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsum, err := NewFloatSum(hfp.FP32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fprod, err := NewFloatProd(hfp.FP32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
-	plain := fillPlain(s, n)
-	want := make([]byte, n*8)
-	if err := s.EncryptAt(st, plain, want, n, 3); err != nil {
-		t.Fatal(err)
-	}
-	buf := append([]byte(nil), plain...)
-	if err := s.EncryptAt(st, buf, buf, n, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("in-place fused encrypt diverges from out-of-place")
+	for _, s := range []Scheme{sum, fsum, fprod} {
+		plain := fillPlain(s, n)
+		want := make([]byte, n*s.CipherSize())
+		if err := s.EncryptAt(st, plain, want, n, 3); err != nil {
+			t.Fatal(err)
+		}
+		buf := append([]byte(nil), plain...)
+		if err := s.EncryptAt(st, buf, buf, n, 3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%s: in-place fused encrypt diverges from out-of-place", s.Name())
+		}
+		out := make([]byte, n*s.PlainSize())
+		if err := s.DecryptAt(st, want, out, n, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DecryptAt(st, buf, buf, n, 3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, out) {
+			t.Fatalf("%s: in-place fused decrypt diverges from out-of-place", s.Name())
+		}
 	}
 }
 
@@ -132,11 +156,67 @@ func TestFusedAllocs(t *testing.T) {
 			t.Errorf("%s/chacha20: fused decrypt allocates %.1f/run, want 0", s.Name(), a)
 		}
 	}
-	// AES-fast: fused must not out-allocate the two-pass reference.
-	st := genStatesBackend(t, 2, prf.BackendAESFast)[0]
+	// The float schemes hold their kernel: nothing is built per call.
+	v1, err := NewFloatSum(hfp.FP32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := genStatesBackend(t, 2, prf.BackendChaCha20)[0]
 	st.Advance()
-	plain := fillPlain(sum, n)
-	cipher := make([]byte, n*8)
+	plain := fillPlain(v1, n)
+	cipher := make([]byte, n*v1.CipherSize())
+	out := make([]byte, len(plain))
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"encrypt", func() error { return v1.EncryptAt(st, plain, cipher, n, 0) }},
+		{"decrypt", func() error { return v1.DecryptAt(st, cipher, out, n, 0) }},
+		{"reduce", func() error { v1.Reduce(cipher, cipher, n); return nil }},
+	} {
+		if a := testing.AllocsPerRun(20, func() {
+			if err := tc.call(); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s/chacha20: %s allocates %.1f/run, want 0", v1.Name(), tc.name, a)
+		}
+	}
+	// float32-sum-v2 stages e^x in a fixed block: a 2 MiB call, twice the
+	// pooled-scratch cap, used to take a transient 2 MiB buffer. Counted in
+	// bytes so that the pin holds under the race detector, whose sync.Pool
+	// drops (and so reallocates) a noise stream now and then.
+	v2, err := NewFloatSumV2(hfp.FP32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = 2 << 20 / 4
+	plain, cipher, out = fillPlain(v2, big), make([]byte, big*v2.CipherSize()), make([]byte, big*4)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"encrypt", func() error { return v2.EncryptAt(st, plain, cipher, big, 0) }},
+		{"decrypt", func() error { return v2.DecryptAt(st, cipher, out, big, 0) }},
+	} {
+		if err := tc.call(); err != nil { // warms the stream pool
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.call()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 16<<10 {
+			t.Errorf("%s: %s of 2 MiB allocates %d B, want none of the span staged", v2.Name(), tc.name, b)
+		}
+	}
+	// AES-fast: fused must not out-allocate the two-pass reference.
+	st = genStatesBackend(t, 2, prf.BackendAESFast)[0]
+	st.Advance()
+	plain, cipher = fillPlain(sum, n), make([]byte, n*8)
 	fused := testing.AllocsPerRun(20, func() { sum.EncryptAt(st, plain, cipher, n, 0) })
 	ref := testing.AllocsPerRun(20, func() { intSumEncryptTwoPass(sum, st, plain, cipher, n, 0) })
 	if fused > ref {

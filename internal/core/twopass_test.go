@@ -34,9 +34,10 @@ func encryptTwoPass(s Scheme, st *keys.RankState, plain, cipher []byte, n, off i
 	case *FloatProd:
 		return floatProdEncryptTwoPass(s, st, plain, cipher, n, off)
 	case *FloatSumV2:
+		w := floatWire{size: s.PlainSize()}
 		exp := make([]byte, n*s.PlainSize())
 		for j := 0; j < n; j++ {
-			s.wire.store(exp, j, math.Exp(s.wire.load(plain, j)))
+			w.store(exp, j, math.Exp(w.load(plain, j)))
 		}
 		return floatProdEncryptTwoPass(s.prod, st, exp, cipher, n, off)
 	case *FixedSum:
@@ -84,8 +85,9 @@ func decryptTwoPass(s Scheme, st *keys.RankState, cipher, plain []byte, n, off i
 		if err := floatProdDecryptTwoPass(s.prod, st, cipher, plain, n, off); err != nil {
 			return err
 		}
+		w := floatWire{size: s.PlainSize()}
 		for j := 0; j < n; j++ {
-			s.wire.store(plain, j, math.Log(s.wire.load(plain, j)))
+			w.store(plain, j, math.Log(w.load(plain, j)))
 		}
 		return nil
 	case *FixedSum:
@@ -319,13 +321,14 @@ func floatSumEncryptTwoPass(s *FloatSum, st *keys.RankState, plain, cipher []byt
 	p1, ks := getScratch(n * hfp.NoiseBytes)
 	defer putScratch(p1)
 	st.Enc.Keystream(ks, st.CollectiveNonce(), uint64(off)*hfp.NoiseBytes)
+	w := floatWire{size: s.PlainSize()}
 	for j := 0; j < n; j++ {
-		v, err := s.f.Encode(s.wire.load(plain, j))
+		v, err := s.f.Encode(w.load(plain, j))
 		if err != nil {
 			return fmt.Errorf("%s: element %d: %w", s.Name(), j, err)
 		}
-		noise := s.cell.Noise(ks[j*hfp.NoiseBytes:])
-		s.cell.Pack(s.f.Mul(v, noise), cipher[j*cs:])
+		noise := s.f.NoiseFromBytes(ks[j*hfp.NoiseBytes:])
+		s.f.Pack(s.f.Mul(v, noise), cipher[j*cs:])
 	}
 	return nil
 }
@@ -335,10 +338,11 @@ func floatSumDecryptTwoPass(s *FloatSum, st *keys.RankState, cipher, plain []byt
 	p1, ks := getScratch(n * hfp.NoiseBytes)
 	defer putScratch(p1)
 	st.Enc.Keystream(ks, st.CollectiveNonce(), uint64(off)*hfp.NoiseBytes)
+	w := floatWire{size: s.PlainSize()}
 	for j := 0; j < n; j++ {
-		c := s.cell.Unpack(cipher[j*cs:])
-		noise := s.cell.Noise(ks[j*hfp.NoiseBytes:])
-		s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
+		c := s.f.Unpack(cipher[j*cs:])
+		noise := s.f.NoiseFromBytes(ks[j*hfp.NoiseBytes:])
+		w.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 	}
 	return nil
 }
@@ -357,16 +361,17 @@ func floatProdEncryptTwoPass(s *FloatProd, st *keys.RankState, plain, cipher []b
 		ks2 = b
 		st.Enc.Keystream(ks2, st.NextNonce(), byteOff)
 	}
+	w := floatWire{size: s.PlainSize()}
 	for j := 0; j < n; j++ {
-		v, err := s.f.Encode(s.wire.load(plain, j))
+		v, err := s.f.Encode(w.load(plain, j))
 		if err != nil {
 			return fmt.Errorf("%s: element %d: %w", s.Name(), j, err)
 		}
-		noise := s.cell.Noise(ks1[j*hfp.NoiseBytes:])
+		noise := s.f.NoiseFromBytes(ks1[j*hfp.NoiseBytes:])
 		if !last {
-			noise = s.f.Div(noise, s.cell.Noise(ks2[j*hfp.NoiseBytes:]))
+			noise = s.f.Div(noise, s.f.NoiseFromBytes(ks2[j*hfp.NoiseBytes:]))
 		}
-		s.cell.Pack(s.f.Mul(v, noise), cipher[j*cs:])
+		s.f.Pack(s.f.Mul(v, noise), cipher[j*cs:])
 	}
 	return nil
 }
@@ -376,10 +381,11 @@ func floatProdDecryptTwoPass(s *FloatProd, st *keys.RankState, cipher, plain []b
 	p1, ks1 := getScratch(n * hfp.NoiseBytes)
 	defer putScratch(p1)
 	st.Enc.Keystream(ks1, st.RootNonce(), uint64(off)*hfp.NoiseBytes)
+	w := floatWire{size: s.PlainSize()}
 	for j := 0; j < n; j++ {
-		c := s.cell.Unpack(cipher[j*cs:])
-		noise := s.cell.Noise(ks1[j*hfp.NoiseBytes:])
-		s.wire.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
+		c := s.f.Unpack(cipher[j*cs:])
+		noise := s.f.NoiseFromBytes(ks1[j*hfp.NoiseBytes:])
+		w.store(plain, j, s.f.Decode(s.f.Div(c, noise)))
 	}
 	return nil
 }
