@@ -22,6 +22,7 @@ func runClient(args []string) error {
 	check := fs.Bool("check", true, "compare every aggregate against the plaintext reference")
 	scheme := fs.String("scheme", "sum", "aggregation scheme: sum, prod, or xor (prod and xor require -verify 0)")
 	verify := fs.Uint64("verify", 1, "HoMAC verification key seed (0 disables tag lanes)")
+	sharedKeys := fs.Bool("shared-keys", false, "derive every rank's keys from one group key, so the survivors can open a degraded round of a -degraded gateway")
 	seed := fs.Int64("seed", 1, "input data seed")
 	stats := fs.Bool("stats", false, "dump gateway counters and exit")
 	connectTimeout := fs.Duration("connect-timeout", 10*time.Second, "retry dialing this long")
@@ -54,7 +55,7 @@ func runClient(args []string) error {
 	// All participants live in this process: one in-process world supplies
 	// the coordinated contexts the gateway never sees.
 	w := mpi.NewWorld(*conns)
-	ctxs, err := hear.Init(w, hear.Options{})
+	ctxs, err := hear.Init(w, hear.Options{SharedGroupKeys: *sharedKeys})
 	if err != nil {
 		return err
 	}
@@ -75,22 +76,37 @@ func runClient(args []string) error {
 	}
 
 	inputs := make([][]int64, *conns)
-	want := make([]int64, *elems)
-	for j := range want {
-		want[j] = unit
-	}
 	for i := range inputs {
 		inputs[i] = make([]int64, *elems)
 		for j := range inputs[i] {
 			inputs[i][j] = *seed*int64(i+1) + int64(j) - int64(*elems)/2
-			want[j] = fold(want[j], inputs[i][j])
 		}
 	}
+	// reference folds the plaintext inputs of the given ranks: every rank of
+	// this process for a complete round, the survivors for a degraded one.
+	reference := func(ranks []int) []int64 {
+		want := make([]int64, *elems)
+		for j := range want {
+			want[j] = unit
+		}
+		for _, r := range ranks {
+			for j := range want {
+				want[j] = fold(want[j], inputs[r][j])
+			}
+		}
+		return want
+	}
+	all := make([]int, *conns)
+	for i := range all {
+		all[i] = i
+	}
+	want := reference(all)
 
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
 		latencies []time.Duration
+		degraded  []aggsvc.Round
 		firstErr  error
 	)
 	fail := func(err error) {
@@ -125,16 +141,23 @@ func runClient(args []string) error {
 					return
 				}
 				if *check {
+					ref := want
+					if info.Degraded {
+						ref = reference(info.Survivors)
+					}
 					for j := range out {
-						if out[j] != want[j] {
+						if out[j] != ref[j] {
 							fail(fmt.Errorf("conn %d round %d: elem %d = %d, want %d",
-								i, r, j, out[j], want[j]))
+								i, r, j, out[j], ref[j]))
 							return
 						}
 					}
 				}
 				mu.Lock()
 				latencies = append(latencies, info.Elapsed)
+				if info.Degraded {
+					degraded = append(degraded, info)
+				}
 				mu.Unlock()
 			}
 		}(i)
@@ -165,6 +188,10 @@ func runClient(args []string) error {
 	fmt.Printf("hearagg: round latency p50=%s p90=%s max=%s\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
 		latencies[len(latencies)-1].Round(time.Microsecond))
+	if len(degraded) > 0 {
+		fmt.Printf("hearagg: %d of %d results degraded; survivors opened the partial aggregate over ranks %v\n",
+			len(degraded), len(latencies), degraded[0].Survivors)
+	}
 	if *check {
 		fmt.Println("hearagg: aggregate matches plaintext reference")
 	}

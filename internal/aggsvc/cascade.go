@@ -38,15 +38,19 @@ type UplinkRound interface {
 	Negotiate(scheme uint8, elems int, tagged bool, cohortEpoch uint64) (sealEpoch uint64, err error)
 	// Relay submits the cohort's folded partial lanes — declaring which
 	// client ranks they cover, and whether that coverage is complete
-	// (complete=false when this cohort's own round degraded) — and blocks
-	// for the globally reduced lanes, which the leaf fans back down as its
-	// RESULT. globalSurv is the upstream RESULT's survivor union (nil when
-	// the global aggregate is complete); the leaf forwards it verbatim in
-	// its own RESULT trailers so every client of the tree cancels the same
-	// missing ranks. covers may be nil with complete=true when the cohort's
-	// coverage cannot be expressed (unknown ranks) — the upstream round can
-	// then only complete fully.
-	Relay(data, tags []byte, covers []uint32, complete bool) (globalData, globalTags []byte, globalSurv []uint32, err error)
+	// (complete=false when this cohort's own round degraded) — blocks for
+	// the globally reduced lanes, and writes them back into data and tags,
+	// which the leaf then fans down as its RESULT. The lanes are the
+	// round's own accumulators: they have been sent upstream in full before
+	// the upstream RESULT can arrive, so overwriting them is safe, but only
+	// with lanes of exactly their lengths — a mismatch is an error, checked
+	// before anything is written. globalSurv is the upstream RESULT's
+	// survivor union (nil when the global aggregate is complete); the leaf
+	// forwards it verbatim in its own RESULT trailers so every client of
+	// the tree cancels the same missing ranks. covers may be nil with
+	// complete=true when the cohort's coverage cannot be expressed (unknown
+	// ranks) — the upstream round can then only complete fully.
+	Relay(data, tags []byte, covers []uint32, complete bool) (globalSurv []uint32, err error)
 	// Close releases the upstream connection. It must be safe to call
 	// concurrently with a blocked Negotiate or Relay — the server uses it
 	// to cut a pending exchange loose when the leaf round dies underneath.
@@ -66,8 +70,10 @@ type UplinkDialer func(cohort int) (UplinkRound, error)
 //
 // Any failure aborts (pre-fold) or fails the relay stage of (post-fold)
 // the round with the typed AbortUpstream, so a campaign can tell a dead
-// upstream tier from a dead cohort.
+// upstream tier from a dead cohort. The goroutine holds a claim on the
+// round's lanes (taken in roundManager.join) until it returns.
 func (s *Server) runCascade(r *roundState) {
+	defer r.cascadeDone()
 	select {
 	case <-r.fullCh:
 	case <-r.doneCh:
@@ -107,31 +113,25 @@ func (s *Server) runCascade(r *roundState) {
 	if r.aborted() {
 		return
 	}
-	// The partial lanes go up zero-copy (they are this round's immutable
-	// accumulators from here on); the global lanes come back already owned
-	// by this round — the uplink copied them out of its read buffer — so
-	// the downlink RESULT fan-out may reference them for the round's whole
-	// lifetime.
+	// The partial lanes go up zero-copy, and the global lanes come back into
+	// the same accumulators: nothing folds into them once the local round is
+	// over, and no participant reads them before the relay resolves. The
+	// downlink RESULT fan-out then references them until the last
+	// participant's write returns.
 	covers, complete, coversOK := r.coverage()
 	if !coversOK {
 		covers, complete = nil, true
 	}
 	relayTm := s.phases.StartTimer(PhaseRelay)
-	gdata, gtags, gsurv, err := u.Relay(r.data, r.tags, covers, complete)
+	gsurv, err := u.Relay(r.data, r.tags, covers, complete)
 	relayTm.Stop()
 	if err != nil {
 		s.relayFailures.Add(1)
 		r.failRelay(upstreamAbort(r.id, err))
 		return
 	}
-	if len(gdata) != len(r.data) || (r.params.tagged && len(gtags) != len(r.tags)) {
-		s.relayFailures.Add(1)
-		r.failRelay(&AbortError{Round: r.id, Code: AbortUpstream,
-			Msg: "upstream returned mismatched lane sizes"})
-		return
-	}
 	s.roundsRelayed.Add(1)
-	r.finishRelay(gdata, gtags, gsurv)
+	r.finishRelay(gsurv)
 }
 
 // upstreamAbort wraps an uplink failure as this round's typed abort,

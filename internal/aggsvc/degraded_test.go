@@ -229,6 +229,7 @@ func TestDegradedRoundSurvivorsComplete(t *testing.T) {
 				if m["clients_evicted"] != 1 {
 					t.Errorf("clients_evicted = %d, want 1", m["clients_evicted"])
 				}
+				waitLanesHome(t, s) // accumulators and every survivor's stages
 			})
 		}
 	}

@@ -172,6 +172,10 @@ func TestDeadlineAbortRacesInflightFolds(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("%d folds wrote to an aborted round's accumulator; only the one in flight before the abort may run", got)
 	}
+	if e := readAbort(t, silent); e.Code != AbortDeadline {
+		t.Fatalf("silent participant's abort code %s, want %s", e.Code, AbortDeadline)
+	}
+	waitLanesHome(t, s) // back once the last queued task retired
 }
 
 // TestQuorumEvictsStragglers: with Quorum set, a deadline with enough

@@ -237,9 +237,9 @@ func (w *wireRound) Negotiate(scheme uint8, elems int, tagged bool, cohortEpoch 
 }
 
 // Relay submits the cohort's folded partial lanes — with their declared rank
-// coverage — and blocks for the globally reduced ones plus the global
-// survivor union (nil when complete).
-func (w *wireRound) Relay(data, tags []byte, covers []uint32, complete bool) ([]byte, []byte, []uint32, error) {
+// coverage — blocks for the globally reduced ones, and writes them back into
+// data and tags. It returns the global survivor union (nil when complete).
+func (w *wireRound) Relay(data, tags []byte, covers []uint32, complete bool) ([]uint32, error) {
 	// Whatever happens below, the exchange is over when Relay returns, so
 	// the read buffer rejoins the pool from this goroutine.
 	defer w.client.Close()
@@ -253,24 +253,26 @@ func (w *wireRound) Relay(data, tags []byte, covers []uint32, complete bool) ([]
 	start := time.Now()
 	red, err := w.client.Exchange(w.ticket, data, tags, cov)
 	if err != nil {
-		return nil, nil, nil, w.fail("relay", err)
+		return nil, w.fail("relay", err)
 	}
 	w.u.relayS.Observe(time.Since(start).Seconds())
-	// The reduced lanes alias the client's recycled read buffer, and the
-	// leaf's downlink fan-out outlives this exchange — so this is the single
-	// copy the cascade pays per cohort round, and everything past it is
-	// zero-copy (see DESIGN.md, "Zero-copy wire path"). Verification belongs
-	// to the key-holding clients; a key-blind tier forwards the survivor
-	// union verbatim.
-	gdata := append([]byte(nil), red.Data...)
-	var gtags []byte
-	if red.Tags != nil {
-		gtags = append([]byte(nil), red.Tags...)
+	if len(red.Data) != len(data) || len(red.Tags) != len(tags) {
+		return nil, w.fail("relay", fmt.Errorf("upstream returned %d/%d B lanes for %d/%d B submitted",
+			len(red.Data), len(red.Tags), len(data), len(tags)))
 	}
+	// The reduced lanes alias the client's recycled read buffer, and the
+	// leaf's downlink fan-out outlives this exchange. Exchange has written
+	// data and tags upstream in full before RESULT arrives, so the one copy
+	// the cascade pays per cohort round lands in the very lanes it sent, and
+	// everything past it is zero-copy (see DESIGN.md, "Zero-copy wire
+	// path"). Verification belongs to the key-holding clients; a key-blind
+	// tier forwards the survivor union verbatim.
+	copy(data, red.Data)
+	copy(tags, red.Tags)
 	if red.Survivors != nil {
 		w.u.degradedDown.Inc()
 	}
-	return gdata, gtags, red.Survivors, nil
+	return red.Survivors, nil
 }
 
 // fail counts and logs one upstream failure.

@@ -123,8 +123,8 @@ func TestNoPollBeforeJoin(t *testing.T) {
 }
 
 // echoUplink stands in for the upstream tier of a federated round: it names
-// the seal epoch a flat round would have picked and hands the cohort's fold
-// straight back, so the leaf's own lifecycle — fixEpoch arriving from the
+// the seal epoch a flat round would have picked and leaves the cohort's fold
+// in place as the global aggregate, so the leaf's own lifecycle — fixEpoch arriving from the
 // runCascade goroutine while handlers are entering awaitFull — runs without
 // a root. (The real two-tier race is federation's TestFederationJoinWakeRace.)
 type echoUplink struct{}
@@ -133,8 +133,8 @@ func (echoUplink) Negotiate(_ uint8, _ int, _ bool, cohortEpoch uint64) (uint64,
 	return cohortEpoch + 1, nil
 }
 
-func (echoUplink) Relay(data, tags []byte, _ []uint32, _ bool) ([]byte, []byte, []uint32, error) {
-	return append([]byte(nil), data...), append([]byte(nil), tags...), nil, nil
+func (echoUplink) Relay(_, _ []byte, _ []uint32, _ bool) ([]uint32, error) {
+	return nil, nil
 }
 
 func (echoUplink) Close() error { return nil }

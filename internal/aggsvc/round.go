@@ -6,7 +6,10 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"hear/internal/mempool"
 )
 
 // foldStripes is the number of stripe locks guarding a round's
@@ -31,6 +34,7 @@ type participant struct {
 	tagGot    int  // bytes accepted on the tag lane
 	submitted bool
 	evicted   bool // straggler cut at the deadline under a quorum policy
+	holds     bool // still counted in roundState.holders (see drop)
 
 	// Identity from HELLO / SURVIVORS, consulted when a degraded round
 	// needs to name its survivor set.
@@ -44,10 +48,32 @@ type participant struct {
 	// once the last byte arrives, so a straggler killed mid-submit leaves
 	// the survivors' fold untouched — the in-place fold cannot un-fold a
 	// half-delivered lane (PROD noise factors are units, plaintexts need
-	// not be).
+	// not be). The stages come from the lane free list and belong to the
+	// participant's handler goroutine alone: it fills, folds and returns
+	// them (Server.putStages); the deadline and loss paths only mark the
+	// participant evicted.
 	delivered bool // every lane byte arrived; staged lanes folded (or folding)
 	lane      []byte
 	tagLane   []byte
+}
+
+// lanePool is the gateway's one free list for lane-sized buffers: round
+// accumulators and degraded-mode stages. inUse counts buffers handed out
+// and not yet returned (StatsMap lanes_inuse), so a test can see every
+// lane come home after any outcome.
+type lanePool struct {
+	free  mempool.Classes
+	inUse atomic.Int64
+}
+
+func (p *lanePool) get(n int) []byte {
+	p.inUse.Add(1)
+	return p.free.Get(n)
+}
+
+func (p *lanePool) put(b []byte) {
+	p.inUse.Add(-1)
+	p.free.Put(b)
 }
 
 // roundState is one aggregation round: N participants, two lane
@@ -74,11 +100,15 @@ type roundState struct {
 	deadline time.Time
 	timer    *time.Timer
 
-	// Lane accumulators. Folding happens under per-stripe locks so chunks
-	// from different regions proceed concurrently; all folds are commutative
-	// and associative with identity 0, so arrival order is irrelevant.
+	// Lane accumulators, taken from lanes and seeded with the fold's
+	// identity. Folding happens under per-stripe locks so chunks from
+	// different regions proceed concurrently; all folds are commutative and
+	// associative, so arrival order is irrelevant. A federated round's
+	// relay overwrites them with the global aggregate. They go back to
+	// lanes exactly once, in releaseLocked, and are nil from then on.
 	data    []byte
 	tags    []byte
+	lanes   *lanePool
 	stripes [foldStripes]sync.Mutex
 	chunk   int
 
@@ -87,6 +117,7 @@ type roundState struct {
 	maxEpoch uint64 // highest key epoch any joiner advertised in HELLO
 	finished int    // participants that submitted every lane byte
 	tasks    int    // outstanding fold tasks
+	holders  int    // admitted participants and the cascade goroutine not yet done with the lanes
 	done     bool
 	abortErr *AbortError
 	fullCh   chan struct{} // closed when the membership seals at group size
@@ -119,12 +150,10 @@ type roundState struct {
 	resultTagN [4]byte
 
 	// Relay stage (federated rounds only).
-	relayCh    chan struct{} // closed when the uplink exchange resolves
-	relaySet   bool
-	relayErr   *AbortError
-	globalData []byte
-	globalTags []byte
-	globalSur  []uint32 // survivor union from the upstream RESULT (nil = complete)
+	relayCh   chan struct{} // closed when the uplink exchange resolves
+	relaySet  bool
+	relayErr  *AbortError
+	globalSur []uint32 // survivor union from the upstream RESULT (nil = complete)
 }
 
 // laneSize returns the byte length of one lane.
@@ -149,12 +178,65 @@ func (r *roundState) taskAdded() bool {
 }
 
 // taskDone retires a fold task, completing the round if it was the last
-// obligation.
+// obligation — or, in an aborted round, releasing its lanes if it was the
+// last thing still able to write them.
 func (r *roundState) taskDone() {
 	r.mu.Lock()
 	r.tasks--
 	r.maybeCompleteLocked()
+	r.releaseLocked()
 	r.mu.Unlock()
+}
+
+// drop ends p's claim on the round's lanes: its RESULT or ABORT write has
+// returned, or it left before the round filled. Idempotent per participant
+// (a pre-fill leaver may also pass through finishRound).
+func (r *roundState) drop(p *participant) {
+	r.mu.Lock()
+	r.dropLocked(p)
+	r.mu.Unlock()
+}
+
+func (r *roundState) dropLocked(p *participant) {
+	if p.holds {
+		p.holds = false
+		r.holders--
+		r.releaseLocked()
+	}
+}
+
+// cascadeDone ends the cascade goroutine's claim on the round's lanes: it
+// relays them upstream and writes the global aggregate back into them.
+func (r *roundState) cascadeDone() {
+	r.mu.Lock()
+	r.holders--
+	r.releaseLocked()
+	r.mu.Unlock()
+}
+
+// releaseLocked returns the round's lanes to the free list once nothing can
+// read or write them again. That takes three things, and the last of them
+// to happen calls this:
+//
+//   - the round is over, so no new fold task or holder can arrive;
+//   - every holder is done: each admitted participant has finished its
+//     RESULT/ABORT write or left before fill, and the cascade goroutine
+//     has returned;
+//   - no fold task is outstanding. An aborted round can still have tasks
+//     queued on the worker pool; foldChunk checks aborted() and then folds
+//     without r.mu, so a lane released before they retire could take a
+//     stale fold into the next round's accumulator.
+//
+// The lanes are nil afterwards, which also makes the release happen once.
+func (r *roundState) releaseLocked() {
+	if !r.done || r.holders > 0 || r.tasks > 0 || r.data == nil {
+		return
+	}
+	r.lanes.put(r.data)
+	if r.tags != nil {
+		r.lanes.put(r.tags)
+	}
+	r.data, r.tags = nil, nil
 }
 
 // submitted marks a participant as fully delivered.
@@ -201,6 +283,7 @@ func (r *roundState) endLocked() {
 		r.timer.Stop()
 		r.timer = nil
 	}
+	r.releaseLocked() // a round whose last participant left holds nothing
 }
 
 // markDelivered transitions a degraded-mode participant to delivered once
@@ -221,10 +304,11 @@ func (r *roundState) markDelivered(p *participant) bool {
 // markLost records a degraded-mode participant whose connection died
 // mid-submit, before the deadline. Fail-closed rounds abort on any post-JOIN
 // loss (the telescoping noise needs every rank), but a degraded round can
-// survive it: the lost participant is marked evicted with its stage
-// discarded, and the deadline either completes the round over the delivered
-// survivors or fails it by quorum. Returns false when the round is already
-// resolving — the caller falls back to the ordinary outcome paths.
+// survive it: the lost participant is marked evicted (its handler discards
+// the stage on the way out), and the deadline either completes the round
+// over the delivered survivors or fails it by quorum. Returns false when the
+// round is already resolving — the caller falls back to the ordinary
+// outcome paths.
 func (r *roundState) markLost(p *participant) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -232,7 +316,6 @@ func (r *roundState) markLost(p *participant) bool {
 		return false
 	}
 	p.evicted = true
-	p.lane, p.tagLane = nil, nil
 	return true
 }
 
@@ -462,18 +545,17 @@ func (r *roundState) fixEpochLocked(epoch uint64) {
 	}
 }
 
-// finishRelay resolves a federated round's second stage with the globally
-// reduced lanes the upstream tier returned, plus the global survivor union
-// from the upstream RESULT (nil when the global aggregate is complete).
-func (r *roundState) finishRelay(data, tags []byte, surv []uint32) {
+// finishRelay resolves a federated round's second stage once the uplink
+// has written the globally reduced lanes into r.data/r.tags, with the
+// global survivor union from the upstream RESULT (nil when the global
+// aggregate is complete).
+func (r *roundState) finishRelay(surv []uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.relaySet {
 		return
 	}
 	r.relaySet = true
-	r.globalData = data
-	r.globalTags = tags
 	r.globalSur = surv
 	close(r.relayCh)
 }
@@ -492,7 +574,7 @@ func (r *roundState) failRelay(aerr *AbortError) {
 }
 
 // relayOutcome blocks until the relay stage resolves and returns its
-// failure (nil means resultLanes now carries the global aggregate).
+// failure (nil means the lanes now carry the global aggregate).
 func (r *roundState) relayOutcome() *AbortError {
 	<-r.relayCh
 	r.mu.Lock()
@@ -500,16 +582,10 @@ func (r *roundState) relayOutcome() *AbortError {
 	return r.relayErr
 }
 
-// resultLanes returns the lanes RESULT should carry: the globally reduced
-// ones for a federated round, the local fold otherwise.
-func (r *roundState) resultLanes() (data, tags []byte) {
-	if !r.federated {
-		return r.data, r.tags
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.globalData, r.globalTags
-}
+// resultLanes returns the lanes RESULT carries: the round's accumulators,
+// which hold the local fold — or, once a federated round's relay resolved,
+// the global aggregate the uplink wrote back into them.
+func (r *roundState) resultLanes() (data, tags []byte) { return r.data, r.tags }
 
 // resultSurvivors returns the survivor rank union the RESULT must declare:
 // the upstream tier's global union for a federated round (it strictly
@@ -550,10 +626,11 @@ func (r *roundState) resultVectors() (pre, data, tagN, tags, surv []byte) {
 // leave removes a participant from a round whose membership is still open —
 // the pre-fill death path. Nothing has been sealed against this round yet
 // (clients seal only after JOIN, which is only sent once the round fills),
-// so the slot is simply freed and the remaining participants renumbered.
-// It reports whether the participant left and whether the round is now
-// empty; both are false once the round has filled or ended, where a loss
-// must instead fail the whole round.
+// so the slot is simply freed, the remaining participants renumbered, and
+// the leaver's claim on the lanes dropped. It reports whether the
+// participant left and whether the round is now empty; both are false once
+// the round has filled or ended, where a loss must instead fail the whole
+// round.
 func (r *roundState) leave(p *participant) (left, empty bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -566,6 +643,7 @@ func (r *roundState) leave(p *participant) (left, empty bool) {
 			for j, rest := range r.parts {
 				rest.slot = j
 			}
+			r.dropLocked(p)
 			return true, len(r.parts) == 0
 		}
 	}
@@ -615,8 +693,7 @@ func (r *roundState) expire(timeout time.Duration) {
 				if p.delivered {
 					continue
 				}
-				p.evicted = true
-				p.lane, p.tagLane = nil, nil // discard the partial stage
+				p.evicted = true // its handler discards the partial stage
 				evicted++
 				// Unblock the straggler's pending read so its handler
 				// delivers the eviction ABORT promptly.
@@ -664,6 +741,7 @@ type roundManager struct {
 	chunk     int
 	federated bool // rounds defer their seal epoch to the uplink
 	degraded  bool // rounds complete over survivors at the deadline (Config.DegradedRounds)
+	lanes     lanePool
 
 	mu     sync.Mutex
 	nextID uint64
@@ -712,7 +790,8 @@ func (m *roundManager) join(conn net.Conn, params roundParams, epoch uint64, coh
 			federated:    m.federated,
 			degradedMode: m.degraded,
 			deadline:     time.Now().Add(m.timeout),
-			data:         make([]byte, params.elems*8),
+			data:         m.lanes.get(params.elems * 8),
+			lanes:        &m.lanes,
 			chunk:        m.chunk,
 			fullCh:       make(chan struct{}),
 			doneCh:       make(chan struct{}),
@@ -722,16 +801,21 @@ func (m *roundManager) join(conn net.Conn, params roundParams, epoch uint64, coh
 		created = true
 		identitySeed(params.scheme, r.data)
 		if params.tagged {
-			r.tags = make([]byte, params.elems*8)
+			r.tags = m.lanes.get(params.elems * 8)
+			clear(r.tags) // SumMod61's identity
+		}
+		if m.federated {
+			r.holders = 1 // the cascade goroutine's claim; see Server.runCascade
 		}
 		timeout := m.timeout
 		r.timer = time.AfterFunc(timeout, func() { r.expire(timeout) })
 		m.open[cohort] = r
 	}
-	p := &participant{conn: conn, parked: true, rank: pm.rank, degraded: pm.degradedOK}
+	p := &participant{conn: conn, parked: true, holds: true, rank: pm.rank, degraded: pm.degradedOK}
 	r.mu.Lock()
 	p.slot = len(r.parts) // assigned under the lock: pre-fill leaves renumber
 	r.parts = append(r.parts, p)
+	r.holders++
 	if epoch > r.maxEpoch {
 		r.maxEpoch = epoch
 	}

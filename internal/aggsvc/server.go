@@ -35,12 +35,13 @@ var laneFolds = map[uint8]struct{ data, tag inc.Fold }{
 	SchemeInt64Xor:  {data: fold.Xor, tag: nil},
 }
 
-// identitySeed seeds a fresh accumulator lane with its fold's identity
-// element. A zeroed buffer already is the identity for SUM and XOR; PROD
-// folds multiplicatively, so its lanes start at the word 1 — folding into
-// zeros would annihilate every submission.
+// identitySeed resets a recycled accumulator lane to its fold's identity
+// element: zero for SUM and XOR, the word 1 for PROD, which folds
+// multiplicatively — folding into zeros would annihilate every submission.
+// The lane may hold a previous round's aggregate of any scheme.
 func identitySeed(scheme uint8, lane []byte) {
 	if scheme != SchemeInt64Prod {
+		clear(lane)
 		return
 	}
 	for off := 0; off+8 <= len(lane); off += 8 {
@@ -302,7 +303,7 @@ func (s *Server) registerMetrics(r *metrics.Registry) {
 	// Seal epoch fixed → this participant's JOIN written, 10 µs … 100 ms: a
 	// wake that waits on a timer instead of the event shows as a spike here.
 	s.joinWake = r.Histogram("hear_gateway_join_wake_seconds", nil, metrics.DurationBuckets[:9])
-	gauges := map[string]bool{"rounds_active": true, "pool_blocks": true, "cohorts": true}
+	gauges := map[string]bool{"rounds_active": true, "pool_blocks": true, "cohorts": true, "lanes_inuse": true}
 	r.RegisterSource(func(emit func(metrics.Sample)) {
 		for k, v := range s.StatsMap() {
 			if strings.HasPrefix(k, "phase_") {
@@ -412,10 +413,11 @@ func (s *Server) Close() error {
 // submitBase) — the ingress path never stages a copy.
 func (s *Server) foldChunk(t *foldTask) {
 	// A round that aborted while this task sat in the worker queue must not
-	// be folded into: the accumulator may already have been handed to
-	// nobody, but more importantly an aborted round's accounting only waits
-	// for tasks to retire, not to execute. Drop the chunk, keep the
-	// obligations (block back to the pool, task retired).
+	// be folded into: an aborted round's outcome only waits for tasks to
+	// retire, not to execute. Drop the chunk, keep the obligations (block
+	// back to the pool, task retired). The fold below runs without r.mu, so
+	// the round's lanes must not be recycled while this task is
+	// outstanding; roundState.releaseLocked waits for r.tasks == 0.
 	if t.r.aborted() {
 		s.pool.Put(t.block)
 		t.r.taskDone()
@@ -576,7 +578,13 @@ func (s *Server) serveRound(conn net.Conn, h helloFrame, cohort int) bool {
 		s.roundsStarted.Add(1)
 		s.activeRounds.Add(1)
 		if s.cfg.Uplink != nil {
-			go s.runCascade(r)
+			// Counted with the handlers, so Close also waits for the cascade
+			// to give up its claim on the round's lanes.
+			s.handlers.Add(1)
+			go func() {
+				defer s.handlers.Done()
+				s.runCascade(r)
+			}()
 		}
 	}
 	s.clientsJoined.Add(1)
@@ -697,6 +705,9 @@ func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool
 func (s *Server) receiveLanes(conn net.Conn, r *roundState, part *participant, folds struct{ data, tag inc.Fold }) bool {
 	ls := r.laneSize()
 	degraded := r.degradedMode
+	if degraded {
+		defer s.putStages(part)
+	}
 	maxPayload := s.cfg.ChunkBytes + submitHeaderBytes
 	for !part.submitted {
 		t, plen, err := readFrameHeader(conn, s.cfg.MaxFrameBytes)
@@ -804,7 +815,9 @@ func (s *Server) receiveLanes(conn net.Conn, r *roundState, part *participant, f
 				lane = &part.tagLane
 			}
 			if *lane == nil {
-				*lane = make([]byte, ls)
+				// No reset needed: a stage is folded only once every
+				// byte of it has arrived in order.
+				*lane = s.rm.lanes.get(ls)
 			}
 			copy((*lane)[hd.Offset:hd.Offset+n], block[submitBase:submitBase+n])
 			s.pool.Put(block)
@@ -829,8 +842,7 @@ func (s *Server) receiveLanes(conn net.Conn, r *roundState, part *participant, f
 				r.submitted(part)
 			} else {
 				// Round over or participant evicted between the last byte
-				// and delivery: drop the stage unfolded.
-				part.lane, part.tagLane = nil, nil
+				// and delivery: the stage goes back unfolded.
 				return true
 			}
 		}
@@ -904,13 +916,32 @@ func (s *Server) foldStaged(r *roundState, part *participant, folds struct{ data
 		foldLane(r.tags, part.tagLane, folds.tag)
 	}
 	tm.Stop()
-	part.lane, part.tagLane = nil, nil
+}
+
+// putStages returns a degraded participant's stage buffers to the lane
+// free list. Only the participant's own handler goroutine touches its
+// stages — it fills them, folds them and, on its way out of receiveLanes,
+// returns them here — so they need no lock; the deadline and loss paths
+// only mark the participant evicted.
+func (s *Server) putStages(part *participant) {
+	if part.lane != nil {
+		s.rm.lanes.put(part.lane)
+		part.lane = nil
+	}
+	if part.tagLane != nil {
+		s.rm.lanes.put(part.tagLane)
+		part.tagLane = nil
+	}
 }
 
 // finishRound waits for the round outcome — including, for federated
 // rounds, the upstream relay stage — and delivers RESULT or ABORT to this
-// participant. It reports whether the round aborted.
+// participant. It reports whether the round aborted. Once the write has
+// returned, the participant's claim on the round's lanes is dropped: the
+// accumulators are recycled only after every fan-out write is done with
+// them.
 func (s *Server) finishRound(conn net.Conn, r *roundState, part *participant) bool {
+	defer r.drop(part)
 	waitTm := s.phases.StartTimer(PhaseWait)
 	aerr := r.outcome()
 	if aerr == nil && r.federated {
@@ -1012,8 +1043,9 @@ func (s *Server) writeAbort(conn net.Conn, e *AbortError) {
 }
 
 // StatsMap snapshots the gateway's counters: round and traffic totals,
-// memory-pool behavior, and per-phase timings (phase_ns_*/phase_n_* pairs
-// from internal/trace).
+// memory-pool behavior, lanes in use (lanes_inuse: accumulators and stages
+// taken from the lane free list and not yet returned), and per-phase
+// timings (phase_ns_*/phase_n_* pairs from internal/trace).
 func (s *Server) StatsMap() map[string]uint64 {
 	hits, misses, allocated := s.pool.Stats()
 	m := map[string]uint64{
@@ -1038,6 +1070,7 @@ func (s *Server) StatsMap() map[string]uint64 {
 		"pool_misses":      misses,
 		"pool_blocks":      uint64(allocated),
 		"pool_waits":       s.pool.Waits(),
+		"lanes_inuse":      uint64(s.rm.lanes.inUse.Load()),
 	}
 	snap := s.phases.Snapshot()
 	for _, ph := range snap.Phases() {

@@ -218,6 +218,7 @@ func TestClientDropMidSubmitAbortsRound(t *testing.T) {
 	if got := s.roundsAborted.Load(); got != 1 {
 		t.Errorf("rounds_aborted = %d, want 1", got)
 	}
+	waitLanesHome(t, s)
 }
 
 // A round that never fills aborts at its deadline; the waiting participant

@@ -440,7 +440,7 @@ type coverUplink struct {
 	complete chan bool
 }
 
-func (u coverUplink) Relay(data, tags []byte, covers []uint32, complete bool) ([]byte, []byte, []uint32, error) {
+func (u coverUplink) Relay(data, tags []byte, covers []uint32, complete bool) ([]uint32, error) {
 	u.covers <- covers
 	u.complete <- complete
 	return u.echoUplink.Relay(data, tags, covers, complete)

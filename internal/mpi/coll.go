@@ -67,7 +67,7 @@ func (c *Comm) Reduce(root int, sendBuf, recvBuf []byte, count int, dt Datatype,
 	if vrank == 0 {
 		acc = recvBuf[:nb]
 	} else {
-		acc = c.world.bufs.get(nb)
+		acc = c.world.bufs.Get(nb)
 	}
 	copy(acc, sendBuf[:nb])
 	for mask := 1; mask < p; mask <<= 1 {

@@ -15,10 +15,11 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hear/internal/mempool"
 )
 
 // message is one in-flight point-to-point transfer. data is owned by the
@@ -28,39 +29,6 @@ type message struct {
 	from int
 	tag  int
 	data []byte
-}
-
-// bufPool is a world's free list of message buffers, one sync.Pool per
-// power-of-two capacity class. Ownership moves one way: the sender takes a
-// buffer and copies its payload in (sends stay eager), the mailbox holds
-// it, and the receiving goroutine puts it back once it has copied or folded
-// the payload out — never earlier, and never for a message it did not
-// consume. Retention is bounded by the garbage collector, which empties a
-// sync.Pool that goes unused.
-type bufPool struct {
-	classes [bits.UintSize]sync.Pool // class k holds *[]byte of capacity in [2^k, 2^(k+1))
-}
-
-// get returns an n-byte buffer of unspecified content.
-func (p *bufPool) get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	k := bits.Len(uint(n - 1)) // smallest class whose every buffer holds n bytes
-	if b, ok := p.classes[k].Get().(*[]byte); ok {
-		return (*b)[:n]
-	}
-	return make([]byte, n, 1<<k)
-}
-
-// put recycles a consumed message buffer. Any buffer is accepted (an
-// interceptor may have substituted its own); it is filed by capacity.
-func (p *bufPool) put(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:cap(b)]
-	p.classes[bits.Len(uint(cap(b)))-1].Put(&b)
 }
 
 // mailbox is a rank's receive queue with MPI matching: messages arrive in
@@ -160,7 +128,12 @@ type World struct {
 	stats       []Stats
 	exited      []atomic.Bool // per-rank: goroutine returned from Run's body
 	interceptor Interceptor   // nil = deliver everything verbatim
-	bufs        bufPool       // recycled message buffers
+	// bufs recycles message buffers. Ownership moves one way: the sender
+	// takes a buffer and copies its payload in (sends stay eager), the
+	// mailbox holds it, and the receiving goroutine puts it back once it has
+	// copied or folded the payload out — never earlier, and never for a
+	// message it did not consume.
+	bufs mempool.Classes
 }
 
 // NewWorld creates a world of the given size. It panics on size < 1
@@ -282,7 +255,7 @@ func (c *Comm) Send(to, tag int, buf []byte) error {
 // copy makes the send eager — buf is the caller's again on return — and
 // lands in a recycled buffer that the receiver hands back.
 func (c *Comm) send(to, tag int, buf []byte) {
-	data := c.world.bufs.get(len(buf))
+	data := c.world.bufs.Get(len(buf))
 	copy(data, buf)
 	c.deliver(to, tag, data)
 }
@@ -329,7 +302,7 @@ func (c *Comm) Recv(from, tag int, buf []byte) (int, int, error) {
 		return 0, 0, fmt.Errorf("mpi: message of %d B exceeds receive buffer of %d B", len(msg.data), len(buf))
 	}
 	n := copy(buf, msg.data)
-	c.world.bufs.put(msg.data)
+	c.world.bufs.Put(msg.data)
 	src := c.localRank(msg.from)
 	if src < 0 {
 		return 0, 0, fmt.Errorf("mpi: message from non-member world rank %d leaked into communicator", msg.from)
@@ -344,7 +317,7 @@ func (c *Comm) recv(from, tag int, buf []byte) (int, error) {
 		return 0, err
 	}
 	n := copy(buf, msg)
-	c.world.bufs.put(msg)
+	c.world.bufs.Put(msg)
 	return n, nil
 }
 
@@ -360,7 +333,7 @@ func (c *Comm) recvFold(from, tag int, dst []byte, count int, dt Datatype, op Op
 		return fmt.Errorf("mpi: got %d B, want %d", len(msg), nb)
 	}
 	foldElems(op, dt, dst, msg, count)
-	c.world.bufs.put(msg)
+	c.world.bufs.Put(msg)
 	return nil
 }
 

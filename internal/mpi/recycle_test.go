@@ -16,31 +16,6 @@ import (
 // not bend — payloads stay intact, the mailbox keeps no second reference,
 // a frame of the wrong length is an error — and pin what it buys.
 
-func TestBufPoolClasses(t *testing.T) {
-	var p bufPool
-	if b := p.get(0); len(b) != 0 {
-		t.Fatalf("get(0) returned %d B", len(b))
-	}
-	p.put(nil) // a zero-length message's buffer: nothing to file
-	for _, n := range []int{1, 2, 3, 63, 64, 65, 4096, 4097, 1<<20 - 1, 1 << 20, 1<<20 + 1} {
-		b := p.get(n)
-		if len(b) != n || cap(b) < n {
-			t.Fatalf("get(%d): len %d cap %d", n, len(b), cap(b))
-		}
-		p.put(b)
-	}
-	// A buffer of any capacity may come back (an interceptor can substitute
-	// its own); it must never be handed out for a request it cannot hold.
-	for _, c := range []int{1, 5, 100, 1000, 5000} {
-		p.put(make([]byte, c/2, c))
-	}
-	for n := 1; n <= 8192; n += 37 {
-		if b := p.get(n); len(b) != n || cap(b) < n {
-			t.Fatalf("after foreign puts, get(%d): len %d cap %d", n, len(b), cap(b))
-		}
-	}
-}
-
 // TestMailboxGetClearsVacatedSlot: removing a message shifts the queue
 // down; the slot that falls off the end must not keep pointing at the last
 // message's buffer, which its receiver will recycle.
